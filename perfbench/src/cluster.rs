@@ -7,7 +7,7 @@
 //! receive. Everything else is read from public getters.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -25,9 +25,7 @@ use spinnaker_sim::{Actor, Ctx, ProcId, Time, MILLIS, SECS};
 use spinnaker_storage::StoreStats;
 
 use crate::stats::{host_seconds, median, peak_rss_mb, percentile, ratio};
-use crate::trace::{
-    codec_layers, storage_layers, write_artifact, Spans, Values, END_TO_END, PER_LAYER,
-};
+use crate::trace::{codec_layers, storage_layers, write_artifact, Values, END_TO_END, PER_LAYER};
 use crate::{Report, SETUPS};
 
 const NODES: usize = 5;
@@ -52,6 +50,9 @@ const POLL: Time = MILLIS;
 const CYCLE: Time = 15 * SECS;
 /// Failover: a crashed leader restarts this long after its crash.
 const RESTART_AFTER: Time = 3 * SECS;
+/// Failover: the dense range-0 writer's script holds one put per this
+/// much virtual time, several times more than a forced write can complete.
+const DENSE_PACE: Time = 5 * MILLIS;
 
 /// Op kind and consistency level a fleet runs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -128,17 +129,12 @@ fn shape(name: &str) -> Option<Shape> {
             virt_per_host_s: 6.0,
             failover: false,
         },
-        // Dense range-0 writers make every acknowledged write checkable
+        // Beside these fleets, one dense writer puts fresh range-0 keys
+        // (see `dense_script`), so every acknowledged write is checkable
         // after the leader of range 0 crashes and restarts.
         "failover" => Shape {
             fleets: vec![
-                Fleet {
-                    kind: Kind::Put,
-                    workload: Workload::SingleRangeWrites { value_size: VALUE_SIZE },
-                    clients: 2,
-                    window: 1,
-                },
-                fleet(Kind::Put, 4, 1),
+                fleet(Kind::Put, 5, 1),
                 fleet(Kind::GetStrong, 4, 1),
                 fleet(Kind::GetTimeline, 4, 1),
                 fleet(Kind::Scan, 1, 1),
@@ -167,6 +163,16 @@ fn preload_key(i: u64) -> Key {
 
 fn value() -> Bytes {
     Bytes::from(vec![0x5au8; VALUE_SIZE])
+}
+
+/// The failover writer's calls: puts of keys 1, 2, 3, ... (all inside
+/// range 0 and none a preloaded key), one key each, in order. Its
+/// acknowledged calls are exactly the keys that must read back.
+fn dense_script(span: Time) -> Vec<SessionCall> {
+    let cells = vec![(Bytes::from_static(b"c"), value())];
+    (1..=span / DENSE_PACE)
+        .map(|i| SessionCall::Put { key: u64_to_key(i), cells: cells.clone() })
+        .collect()
 }
 
 /// Node event classes timed in traced runs.
@@ -239,9 +245,11 @@ struct Rec {
     unavailable: u64,
     wrong_range: u64,
     timeouts: u64,
-    /// Terminal error replies (failed ops), whole run.
-    terminal: u64,
-    /// Reads of preloaded keys that came back without the row.
+    /// Per client, the `ClientStats::trace` indices of completions that
+    /// failed: a terminal error reply, or a read of a preloaded key that
+    /// came back without the row.
+    bad: BTreeMap<ProcId, BTreeSet<usize>>,
+    /// Completed reads of preloaded keys that came back without the row.
     missing_reads: u64,
     /// Client requests seen by nodes (codec and crc inputs).
     samples: Vec<ClientRequest>,
@@ -281,6 +289,7 @@ impl Actor<Ev> for NodeTap {
 /// Classifies every reply a client receives; times the client in traced runs.
 struct ClientTap {
     inner: Box<dyn Actor<Ev>>,
+    proc: ProcId,
     rec: SharedRec,
     stats: Rc<RefCell<ClientStats>>,
     reads_preloaded: bool,
@@ -288,13 +297,13 @@ struct ClientTap {
 
 impl Actor<Ev> for ClientTap {
     fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        let mut is_timeout = false;
+        let (mut is_timeout, mut terminal, mut missing) = (false, false, false);
         {
             let mut rec = self.rec.borrow_mut();
             match &ev {
                 Ev::Client(ClientEv::Reply(ClientReply::Err { error, .. })) => {
                     if !error.is_retryable() {
-                        rec.terminal += 1;
+                        terminal = true;
                     } else if rec.window_open {
                         match error {
                             ClientError::NotLeader { .. } => rec.not_leader += 1,
@@ -303,16 +312,18 @@ impl Actor<Ev> for ClientTap {
                         }
                     }
                 }
-                Ev::Client(ClientEv::Reply(ClientReply::Row { cells, .. }))
-                    if self.reads_preloaded && !cells.iter().any(|c| c.value.is_some()) =>
-                {
-                    rec.missing_reads += 1;
+                Ev::Client(ClientEv::Reply(ClientReply::Row { cells, .. })) => {
+                    missing = self.reads_preloaded && !cells.iter().any(|c| c.value.is_some());
                 }
                 Ev::Client(ClientEv::Timeout(_)) => is_timeout = true,
                 _ => {}
             }
         }
-        let retries = if is_timeout { self.stats.borrow().retries } else { 0 };
+        let completions = |s: &ClientStats| s.trace.as_ref().map_or(0, Vec::len);
+        let (retries, done) = {
+            let s = self.stats.borrow();
+            (s.retries, completions(&s))
+        };
         let t0 = self.rec.borrow().timing.then(Instant::now);
         self.inner.on_event(now, ev, ctx);
         let mut rec = self.rec.borrow_mut();
@@ -321,8 +332,16 @@ impl Actor<Ev> for ClientTap {
                 rec.client_us += t0.elapsed().as_secs_f64() * 1e6;
             }
         }
-        if is_timeout && rec.window_open && self.stats.borrow().retries > retries {
+        let s = self.stats.borrow();
+        if is_timeout && rec.window_open && s.retries > retries {
             rec.timeouts += 1;
+        }
+        // A reply completes at most one call. Only a reply that completed
+        // one marks it failed: a stale duplicate of an answered request
+        // completes nothing.
+        if (terminal || missing) && completions(&s) > done {
+            rec.bad.entry(self.proc).or_default().insert(done);
+            rec.missing_reads += u64::from(missing);
         }
     }
 }
@@ -351,7 +370,8 @@ impl Bench {
         let proc = self.next_proc;
         self.next_proc += 1;
         let inner = self.c.sim.remove_actor(proc).expect("client actor registered");
-        let tap = ClientTap { inner, rec: self.rec.clone(), stats: stats.clone(), reads_preloaded };
+        let rec = self.rec.clone();
+        let tap = ClientTap { inner, proc, rec, stats: stats.clone(), reads_preloaded };
         self.c.sim.replace_actor(proc, Box::new(tap));
         (proc, stats)
     }
@@ -472,9 +492,15 @@ struct Window {
     virt_s: f64,
     /// Host seconds the window took to simulate.
     host_s: f64,
+    /// Wall seconds spent inside `run_until` during the window: the same
+    /// clock the node and client decorators time actors with.
+    run_wall_s: f64,
+    /// Ops completed successfully in the window.
     ops: u64,
     lat_ms: BTreeMap<Kind, Vec<f64>>,
     attempted: u64,
+    /// Ops that completed failed in the window, plus the stalled ones.
+    failed: u64,
     stalled: u64,
     unavailable_ms: f64,
     events: u64,
@@ -614,8 +640,8 @@ struct Client {
     stats: Rc<RefCell<ClientStats>>,
     kind: Kind,
     window: usize,
-    /// A dense range-0 writer (`SingleRangeWrites`).
-    single: bool,
+    /// The failover writer of `dense_script` keys.
+    dense: bool,
 }
 
 /// Run the workload's fleets over one window of `virt` virtual time.
@@ -632,9 +658,15 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
             let reads = matches!(f.kind, Kind::GetStrong | Kind::GetTimeline);
             let (proc, stats) = b.add_client(f.workload.clone(), f.window, reads, (from, to));
             stats.borrow_mut().trace = Some(Vec::new());
-            let single = matches!(f.workload, Workload::SingleRangeWrites { .. });
-            clients.push(Client { proc, stats, kind: f.kind, window: f.window, single });
+            clients.push(Client { proc, stats, kind: f.kind, window: f.window, dense: false });
         }
+    }
+    let dense = if shape.failover { dense_script(to - start) } else { Vec::new() };
+    if !dense.is_empty() {
+        let script = Workload::Script(Rc::new(dense.clone()));
+        let (proc, stats) = b.add_client(script, 1, false, (from, to));
+        stats.borrow_mut().trace = Some(Vec::new());
+        clients.push(Client { proc, stats, kind: Kind::Put, window: 1, dense: true });
     }
     b.c.run_until(from);
     let retries = |cl: &[Client]| cl.iter().map(|c| c.stats.borrow().retries).sum::<u64>();
@@ -671,7 +703,9 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
                 c.step(&mut b);
                 next = c.next_stop(now).map_or(next, |t| t.min(next));
             }
+            let wall = Instant::now();
             b.c.run_until(next.min(end));
+            w.run_wall_s += wall.elapsed().as_secs_f64();
         }
         w.host_s += host_seconds() - t0;
         bounds.push(end);
@@ -687,20 +721,29 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
     w.store.1 = b.store_totals();
     w.tables = w.store.1.tables_per_level.iter().sum::<usize>() as u64;
 
+    // Acknowledged completions only: failed ones count as failed ops and
+    // stay out of the latency samples and the write-gap times.
     let mut put_times = Vec::new();
-    let mut single_times = Vec::new();
-    let mut single_acked = 0u64;
-    for Client { stats, kind, window, single, .. } in &clients {
+    let mut dense_times = Vec::new();
+    let mut failed_ops = 0;
+    for Client { proc, stats, kind, window, dense, .. } in &clients {
         let s = stats.borrow();
-        for &(t, lat) in s.trace.as_deref().unwrap_or_default() {
-            if *kind == Kind::Put {
-                if *single {
-                    single_times.push(t);
+        let rec = b.rec.borrow();
+        let bad = rec.bad.get(proc);
+        for (i, &(t, lat)) in s.trace.as_deref().unwrap_or_default().iter().enumerate() {
+            let acked = !bad.is_some_and(|bad| bad.contains(&i));
+            if acked && *kind == Kind::Put {
+                if *dense {
+                    dense_times.push(t);
                 } else {
                     put_times.push(t);
                 }
             }
             if t < from || t > to {
+                continue;
+            }
+            if !acked {
+                failed_ops += 1;
                 continue;
             }
             w.ops += 1;
@@ -710,13 +753,11 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
             }
         }
         w.stalled += stalled(&s, *window, start, to);
-        if *single {
-            single_acked = single_acked.max(s.total_completed);
-        }
     }
-    w.attempted = w.ops + w.stalled;
+    w.failed = failed_ops + w.stalled;
+    w.attempted = w.ops + w.failed;
     put_times.sort_unstable();
-    single_times.sort_unstable();
+    dense_times.sort_unstable();
     // Longest gap between acknowledged writes: after each crash (to the
     // crashed range), else per slice of the window; median of those.
     let spans: Vec<(Time, Time)> = if cycles.is_empty() {
@@ -724,7 +765,7 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
     } else {
         cycles.iter().map(|c| (c.crash_at, c.crash_at + CYCLE)).collect()
     };
-    let times = if cycles.is_empty() { &put_times } else { &single_times };
+    let times = if cycles.is_empty() { &put_times } else { &dense_times };
     let gaps: Vec<f64> = spans.iter().map(|&(a, z)| max_gap_ms(times, a, z)).collect();
     w.unavailable_ms = median(&gaps).unwrap_or(0.0);
     if !cycles.is_empty() {
@@ -759,10 +800,21 @@ fn measure(mut b: Bench, shape: &Shape, virt: Time, traced: bool) -> Window {
     w.checks.push(("read-back scan completed".into(), finished));
     let outcome = verifier.borrow().outcomes.first().cloned();
     let mut expected: Vec<Key> = (0..KEYS).map(preload_key).collect();
-    // Range-0 writers put keys 0, 1, 2, ... in order (wrapping at 4096),
-    // so every acknowledged one is known. Random-key writers add rows
+    // The dense writer's calls each put their own key, so its acknowledged
+    // calls name exactly the keys it added. Random-key writers add rows
     // that only the value check covers.
-    expected.extend((0..single_acked.min(4096)).map(u64_to_key));
+    if let Some(c) = clients.iter().find(|c| c.dense) {
+        let outcomes = &c.stats.borrow().outcomes;
+        w.checks.push((
+            format!("failover: the dense writer never ran out of keys ({} puts)", outcomes.len()),
+            outcomes.len() < dense.len(),
+        ));
+        for (call, outcome) in dense.iter().zip(outcomes) {
+            if let (SessionCall::Put { key, .. }, CallOutcome::Written { .. }) = (call, outcome) {
+                expected.push(key.clone());
+            }
+        }
+    }
     expected.sort();
     expected.dedup();
     let (rows_ok, values_ok) = match outcome {
@@ -817,14 +869,12 @@ fn end_to_end(w: &Window, setup_s: f64) -> Values {
 fn per_layer(w: &Window, untraced: &Window) -> Values {
     let mut v = Values::default();
     let ops = w.ops.max(1) as f64;
-    v.set(
-        "error_rate",
-        ratio((w.rec.terminal + w.rec.missing_reads + w.stalled) as f64, w.attempted as f64),
-    );
+    v.set("error_rate", ratio(w.failed as f64, w.attempted as f64));
     v.set("trace.host_ops_per_s", w.ops as f64 / w.host_s);
     v.set("trace.overhead_ratio", w.host_s / untraced.host_s);
     let node_us: f64 = w.rec.node.values().map(|s| s.1).sum();
-    v.set("sim.kernel_self_us_per_op", (w.host_s * 1e6 - node_us - w.rec.client_us) / ops);
+    let kernel_us = w.run_wall_s * 1e6 - node_us - w.rec.client_us;
+    v.set("sim.kernel_self_us_per_op", kernel_us / ops);
     v.set("sim.events_per_op", w.events as f64 / ops);
     v.set("sim.net_msgs_per_op", w.net_msgs as f64 / ops);
     v.set("wal.writes_per_force", ratio((w.puts * REPLICATION as u64) as f64, w.syncs as f64));
@@ -871,12 +921,10 @@ pub fn run(name: &str, seed: u64, seconds: u64, traced: bool) -> Result<Report, 
             fingerprint(&plain) == fingerprint(&traced_w),
         ));
         let values = per_layer(&traced_w, &plain);
-        let mut spans = Spans::default();
-        for (class, &(n, us)) in &traced_w.rec.node {
-            spans.push_total(class.name(), n, us);
-        }
-        spans.push_total("session.client", traced_w.ops, traced_w.rec.client_us);
-        write_artifact(name, seed, &spans, &values);
+        let mut totals: Vec<_> =
+            traced_w.rec.node.iter().map(|(class, &(n, us))| (class.name(), n, us)).collect();
+        totals.push(("session.client", traced_w.ops, traced_w.rec.client_us));
+        write_artifact(name, seed, &totals, &values);
         (traced_w, values.list(PER_LAYER))
     } else {
         // Set up several times: set-up time is the median, and every
@@ -904,6 +952,10 @@ pub fn run(name: &str, seed: u64, seconds: u64, traced: bool) -> Result<Report, 
         (w, values.list(END_TO_END))
     };
     checks.extend(window.checks.iter().cloned());
-    let failed = window.rec.terminal + window.rec.missing_reads + window.stalled;
-    Ok(Report { attempted: window.attempted.max(1), failed, checks, metrics: values })
+    Ok(Report {
+        attempted: window.attempted.max(1),
+        failed: window.failed,
+        checks,
+        metrics: values,
+    })
 }

@@ -10,7 +10,7 @@
 //! `{"correct", "attempted", "failed", "metrics"}`. `--trace 0` prints the
 //! end-to-end metrics (measured with tracing off); `--trace 1` prints the
 //! per-layer metrics from a traced run, plus the tracing overhead, and
-//! writes the raw spans and counts under `.bench_trace/`. The metric names
+//! writes the actor times and metrics under `.bench_trace/`. The metric names
 //! must match `BENCHMARK.json` in the working directory, or the run fails.
 //!
 //! Two clocks apply, and `METRICS.md` says which metric uses which:
@@ -19,7 +19,6 @@
 //! machine. Layers are measured from outside, through public APIs only.
 
 mod cluster;
-mod local;
 mod stats;
 mod trace;
 
@@ -108,10 +107,7 @@ fn run() -> Result<bool, String> {
         .map_err(|e| format!("BENCHMARK.json in the working directory: {e}"))?;
     let section = if args.trace { "per_layer" } else { "end_to_end" };
     let declared = declared_names(&manifest, section)?;
-    let report = match args.workload.as_str() {
-        "engine-local" => local::run(args.seed, args.seconds, args.trace),
-        name => cluster::run(name, args.seed, args.seconds, args.trace)?,
-    };
+    let report = cluster::run(&args.workload, args.seed, args.seconds, args.trace)?;
     let printed: Vec<String> = report.metrics.iter().map(|m| m.0.to_string()).collect();
     if printed != declared {
         return Err(format!(

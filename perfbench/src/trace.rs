@@ -1,9 +1,9 @@
-//! Metric catalogues, span recording, and the trace artifact.
+//! Metric catalogues, codec and storage layer figures, and the trace
+//! artifact.
 //!
 //! Every workload prints the same metric names in the same order as
 //! `BENCHMARK.json`. A per-layer metric that a workload never exercises
-//! (node event costs on `engine-local`, direct store spans in a cluster)
-//! reads 0.
+//! (election and catch-up outside `failover`) reads 0.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -67,14 +67,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("storage.write_amp", "ratio"),
     ("storage.compactions", "count"),
     ("storage.tables", "count"),
-    ("wal.append_us", "us"),
-    ("wal.sync_us", "us"),
-    ("store.apply_us", "us"),
-    ("store.get_hit_us", "us"),
-    ("store.get_miss_us", "us"),
-    ("store.scan_page_us", "us"),
-    ("store.flush_ms", "ms"),
-    ("store.compact_ms", "ms"),
     ("codec.encode_ns", "ns"),
     ("codec.decode_ns", "ns"),
     ("crc32c.mib_per_s", "MiB/s"),
@@ -99,65 +91,6 @@ impl Values {
             assert!(catalogue.iter().any(|(n, _)| n == name), "metric {name} is not catalogued");
         }
         catalogue.iter().map(|&(n, u)| (n, self.0.get(n).copied().unwrap_or(0.0), u)).collect()
-    }
-}
-
-/// One timed call into a layer.
-struct Span {
-    name: &'static str,
-    /// The op it served: spans of one op share it.
-    op: u64,
-    /// Start, µs after the first span.
-    start_us: f64,
-    dur_us: f64,
-}
-
-/// Host-time spans, kept in memory and written out at exit. Decorators
-/// that time every sim event add per-name `(count, total)` aggregates
-/// instead of individual spans.
-#[derive(Default)]
-pub struct Spans {
-    /// The op the next spans belong to.
-    pub op: u64,
-    origin: Option<Instant>,
-    log: Vec<Span>,
-    totals: BTreeMap<&'static str, (u64, f64)>,
-}
-
-impl Spans {
-    /// Run `f` inside a span named `name`.
-    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.push(name, t0, Instant::now());
-        out
-    }
-
-    /// Record a span named `name` from `start` to `end`.
-    pub fn push(&mut self, name: &'static str, start: Instant, end: Instant) {
-        let origin = *self.origin.get_or_insert(start);
-        let start_us = start.saturating_duration_since(origin).as_secs_f64() * 1e6;
-        let dur_us = (end - start).as_secs_f64() * 1e6;
-        self.log.push(Span { name, op: self.op, start_us, dur_us });
-    }
-
-    /// Record `count` spans named `name` totalling `us` microseconds.
-    pub fn push_total(&mut self, name: &'static str, count: u64, us: f64) {
-        self.totals.insert(name, (count, us));
-    }
-
-    /// Mean duration of `name` in µs (0 when it never ran).
-    pub fn mean_us(&self, name: &str) -> f64 {
-        let (n, total) = self
-            .log
-            .iter()
-            .filter(|s| s.name == name)
-            .fold((0u64, 0.0), |(n, t), s| (n + 1, t + s.dur_us));
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
     }
 }
 
@@ -220,28 +153,18 @@ pub fn codec_layers<T: Encode + Decode>(v: &mut Values, samples: &[T]) {
     v.set("crc32c.mib_per_s", mib / t0.elapsed().as_secs_f64());
 }
 
-/// Write the traced run's spans and counts to
-/// `.bench_trace/<workload>-seed<seed>.tsv`: one `total` line per span
-/// name (count, total and mean µs), one `metric` line per metric, then
-/// one `span` line per recorded span (op, start and duration µs).
-pub fn write_artifact(workload: &str, seed: u64, spans: &Spans, values: &Values) {
-    let mut totals = spans.totals.clone();
-    for s in &spans.log {
-        let t = totals.entry(s.name).or_default();
-        t.0 += 1;
-        t.1 += s.dur_us;
-    }
+/// Write the traced run's actor times and metrics to
+/// `.bench_trace/<workload>-seed<seed>.tsv`: one `total` line per timed
+/// actor class `(name, count, total µs)` with its mean, then one `metric`
+/// line per metric.
+pub fn write_artifact(workload: &str, seed: u64, totals: &[(&str, u64, f64)], values: &Values) {
     let mut out = String::from("# total\tname\tcount\ttotal_us\tmean_us\n");
-    for (name, (count, total)) in &totals {
-        let mean = total / (*count).max(1) as f64;
+    for &(name, count, total) in totals {
+        let mean = total / count.max(1) as f64;
         let _ = writeln!(out, "total\t{name}\t{count}\t{total:.3}\t{mean:.3}");
     }
     for (name, value) in &values.0 {
         let _ = writeln!(out, "metric\t{name}\t{value}");
-    }
-    out.push_str("# span\tname\top\tstart_us\tdur_us\n");
-    for s in &spans.log {
-        let _ = writeln!(out, "span\t{}\t{}\t{:.3}\t{:.3}", s.name, s.op, s.start_us, s.dur_us);
     }
     let dir = std::path::Path::new(".bench_trace");
     let written = std::fs::create_dir_all(dir)
