@@ -165,13 +165,19 @@ pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 
 /// Read a length-prefixed byte string as an owned `Bytes`.
 pub fn get_bytes(buf: &mut &[u8]) -> Result<Bytes> {
+    get_bytes_ref(buf).map(Bytes::copy_from_slice)
+}
+
+/// Read a length-prefixed byte string in place, borrowing its body from
+/// the input (the checks of [`get_bytes`], without the copy).
+pub fn get_bytes_ref<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     let len = get_varint_len(buf, "byte string", 1)?;
     if buf.len() < len {
         return Err(eof("byte string body"));
     }
     let (head, rest) = buf.split_at(len);
     *buf = rest;
-    Ok(Bytes::copy_from_slice(head))
+    Ok(head)
 }
 
 // --------------------------------------------------- impls for core types
@@ -207,16 +213,54 @@ fn put_cv_fields(buf: &mut Vec<u8>, cv: &ColumnValue) {
     put_bytes(buf, &cv.value);
 }
 
+/// Each chained version is at least flag + version + timestamp + value
+/// length: 18 bytes.
+const CHAIN_ENTRY_MIN_BYTES: usize = 18;
+
+/// A column is at least a 1-byte name length plus 18 bytes of version
+/// fields.
+const COLUMN_MIN_BYTES: usize = 19;
+
+fn get_tombstone(buf: &mut &[u8]) -> Result<bool> {
+    match get_u8(buf)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(Error::Codec(format!("bad tombstone flag {other}"))),
+    }
+}
+
 fn get_cv_fields(buf: &mut &[u8]) -> Result<ColumnValue> {
-    let tombstone = match get_u8(buf)? {
-        0 => false,
-        1 => true,
-        other => return Err(Error::Codec(format!("bad tombstone flag {other}"))),
-    };
+    let tombstone = get_tombstone(buf)?;
     let version = get_u64(buf)?;
     let timestamp = get_u64(buf)?;
     let value = get_bytes(buf)?;
     Ok(ColumnValue { value, version, timestamp, tombstone, older: Vec::new() })
+}
+
+fn skip_cv_fields(buf: &mut &[u8]) -> Result<()> {
+    get_tombstone(buf)?;
+    get_u64(buf)?;
+    get_u64(buf)?;
+    get_bytes_ref(buf)?;
+    Ok(())
+}
+
+/// Validate one encoded [`Row`] and advance past it without building it.
+/// It makes every structural check [`Row::decode`] makes (counts against
+/// the remaining input, tombstone flags, length bounds) with the same
+/// typed errors, so it succeeds exactly when `Row::decode` would and
+/// consumes the same bytes.
+pub fn skip_row(buf: &mut &[u8]) -> Result<()> {
+    let n = get_varint_len(buf, "row columns", COLUMN_MIN_BYTES)?;
+    for _ in 0..n {
+        get_bytes_ref(buf)?;
+        skip_cv_fields(buf)?;
+        let chain = get_varint_len(buf, "column version chain", CHAIN_ENTRY_MIN_BYTES)?;
+        for _ in 0..chain {
+            skip_cv_fields(buf)?;
+        }
+    }
+    Ok(())
 }
 
 impl Encode for ColumnValue {
@@ -234,9 +278,7 @@ impl Encode for ColumnValue {
 impl Decode for ColumnValue {
     fn decode(buf: &mut &[u8]) -> Result<ColumnValue> {
         let mut head = get_cv_fields(buf)?;
-        // Each chained version is at least flag + version + timestamp +
-        // value length: 18 bytes.
-        let n = get_varint_len(buf, "column version chain", 18)?;
+        let n = get_varint_len(buf, "column version chain", CHAIN_ENTRY_MIN_BYTES)?;
         let mut older = Vec::with_capacity(n.min(64));
         for _ in 0..n {
             older.push(get_cv_fields(buf)?);
@@ -258,9 +300,7 @@ impl Encode for Row {
 
 impl Decode for Row {
     fn decode(buf: &mut &[u8]) -> Result<Row> {
-        // A column is at least a 1-byte name length plus 18 bytes of
-        // version fields.
-        let n = get_varint_len(buf, "row columns", 19)?;
+        let n = get_varint_len(buf, "row columns", COLUMN_MIN_BYTES)?;
         let mut row = Row::new();
         for _ in 0..n {
             let name = get_bytes(buf)?;
@@ -365,6 +405,48 @@ mod tests {
             let mut s = buf.as_slice();
             let got = get_bytes(&mut s).unwrap();
             prop_assert_eq!(got.as_ref(), data.as_slice());
+        }
+
+        #[test]
+        fn prop_skip_row_agrees_with_decode(
+            cols in proptest::collection::btree_map(
+                proptest::collection::vec(any::<u8>(), 0..8),
+                (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..16), 0usize..3),
+                0..4,
+            ),
+            cut in any::<usize>(),
+            flip in any::<usize>(),
+            mask in any::<u8>(),
+        ) {
+            let mut row = Row::new();
+            for (name, (tombstone, value, chain)) in cols {
+                let col = Bytes::from(name);
+                for v in 0..=chain as u64 {
+                    let cv = if tombstone && v == 0 {
+                        ColumnValue::deleted(Lsn::new(1, v + 1), v)
+                    } else {
+                        ColumnValue::live(Bytes::from(value.clone()), Lsn::new(1, v + 1), v)
+                    };
+                    row.apply_version(col.clone(), cv);
+                }
+            }
+            let mut enc = row.encode_to_vec();
+            // Intact, truncated anywhere, and with one byte damaged: skip
+            // and decode must succeed together and consume the same bytes.
+            let cut = cut % (enc.len() + 1);
+            if mask != 0 {
+                let at = flip % enc.len();
+                enc[at] ^= mask;
+            }
+            for input in [&enc[..], &enc[..cut]] {
+                let (mut a, mut b) = (input, input);
+                let skipped = skip_row(&mut a);
+                let decoded = Row::decode(&mut b);
+                prop_assert_eq!(skipped.is_ok(), decoded.is_ok(), "input {:?}", input);
+                if skipped.is_ok() {
+                    prop_assert_eq!(a.len(), b.len());
+                }
+            }
         }
 
         #[test]

@@ -7,7 +7,7 @@
 //! size-ratio levels L1..Ln whose tables are non-overlapping within a
 //! level, compacted downward by [`RangeStore::maybe_compact`]. Reads are
 //! served through per-level bloom filters and a node-wide [`BlockCache`]
-//! of decoded data blocks. The design follows Bigtable's SSTables as the
+//! of checksum-verified, indexed data blocks. The design follows Bigtable's SSTables as the
 //! paper describes.
 
 #![warn(missing_docs)]

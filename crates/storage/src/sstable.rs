@@ -34,7 +34,7 @@ const MAGIC: u64 = 0x3154_5353_4e49_5053;
 /// while the cached bytes are shared node-wide.
 #[derive(Clone, Default)]
 pub struct TableCtx {
-    /// Shared cache of decoded data blocks; `None` = read through.
+    /// Shared cache of verified data blocks; `None` = read through.
     pub cache: Option<SharedBlockCache>,
     /// Per-store hit/miss/read counters.
     pub metrics: Arc<CacheMetrics>,
@@ -394,42 +394,38 @@ impl Table {
             0 => return Ok(None),
             n => n - 1,
         };
-        let entries = self.read_block(block_idx)?;
-        Ok(entries.iter().find(|(k, _)| k == key).map(|(_, row)| row.clone()))
+        let block = self.read_block(block_idx)?;
+        match block.find(key.as_bytes()) {
+            Some(i) => block.row(i).map(Some),
+            None => Ok(None),
+        }
     }
 
-    /// Read (or fetch from the block cache) the decoded data block at
+    /// Read (or fetch from the block cache) the verified data block at
     /// index position `idx`.
     fn read_block(&self, idx: usize) -> Result<CachedBlock> {
         let e = &self.index[idx];
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
-            if let Some(rows) = cache.get(id, e.offset) {
+            if let Some(block) = cache.get(id, e.offset) {
                 self.ctx.metrics.hit();
-                return Ok(rows);
+                return Ok(block);
             }
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
         let file = self.vfs.open(&self.path)?;
         let body = read_chunk(file.as_ref(), e.offset, e.len, &self.path)?;
-        let mut cur: &[u8] = &body;
-        let mut out = Vec::new();
-        while !cur.is_empty() {
-            let key = Key::decode(&mut cur)?;
-            let row = Row::decode(&mut cur)?;
-            out.push((key, row));
-        }
-        let rows: CachedBlock = Arc::new(out);
+        let block: CachedBlock = Arc::new(Block::parse(body)?);
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
             // Charge the on-disk chunk size: it is what a miss costs.
-            cache.insert(id, e.offset, rows.clone(), u64::from(e.len));
+            cache.insert(id, e.offset, block.clone(), u64::from(e.len));
         }
-        Ok(rows)
+        Ok(block)
     }
 
     /// Iterate every row in key order.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter { table: self, block: 0, entries: Arc::new(Vec::new()), pos: 0 }
+        TableIter { table: self, block: 0, current: None, pos: 0 }
     }
 
     /// Iterate rows in key order starting at the first key `>= start`,
@@ -446,7 +442,7 @@ impl Table {
             0 => 0,
             n => n - 1,
         };
-        let mut it = TableIter { table: self, block, entries: Arc::new(Vec::new()), pos: 0 };
+        let mut it = TableIter { table: self, block, current: None, pos: 0 };
         it.skip_below(start);
         it
     }
@@ -515,12 +511,98 @@ fn read_chunk(
     Ok(buf)
 }
 
-/// Iterator over rows of a table in key order, decoding one block at a
-/// time (so its memory footprint is one block, regardless of table size).
+/// A checksum-verified SSTable data block: the body bytes plus the byte
+/// spans of its entries, found by one validating pass when the block is
+/// read from the VFS. Lookups binary-search the keys in place and decode
+/// only the rows they return. This is what the [`crate::BlockCache`]
+/// holds.
+pub struct Block {
+    body: Vec<u8>,
+    entries: Vec<EntrySpan>,
+}
+
+/// Where one `(key, row)` entry lies in a block body: the key bytes are
+/// `key..row` and the encoded row is `row..end`.
+struct EntrySpan {
+    key: u32,
+    row: u32,
+    end: u32,
+}
+
+impl EntrySpan {
+    fn key<'b>(&self, body: &'b [u8]) -> &'b [u8] {
+        &body[self.key as usize..self.row as usize]
+    }
+
+    fn row<'b>(&self, body: &'b [u8]) -> &'b [u8] {
+        &body[self.row as usize..self.end as usize]
+    }
+}
+
+impl Block {
+    /// Index a verified block body in one pass. Every entry gets the
+    /// structural checks `Key::decode` and `Row::decode` make, with the
+    /// same typed errors, so a malformed body fails here rather than at a
+    /// later lookup; keys must also be strictly ascending, which the
+    /// binary searches rely on.
+    pub(crate) fn parse(body: Vec<u8>) -> Result<Block> {
+        // Offset of the position `rest_len` bytes before the body's end.
+        let at = |rest_len: usize| {
+            u32::try_from(body.len() - rest_len)
+                .map_err(|_| Error::Corruption("data block larger than 4 GiB".into()))
+        };
+        let mut entries = Vec::new();
+        let mut cur: &[u8] = &body;
+        let mut prev: Option<&[u8]> = None;
+        while !cur.is_empty() {
+            let key = codec::get_bytes_ref(&mut cur)?;
+            if prev.is_some_and(|p| p >= key) {
+                return Err(Error::Corruption("data block keys out of order".into()));
+            }
+            prev = Some(key);
+            let key_at = at(cur.len() + key.len())?;
+            let row = at(cur.len())?;
+            codec::skip_row(&mut cur)?;
+            entries.push(EntrySpan { key: key_at, row, end: at(cur.len())? });
+        }
+        Ok(Block { body, entries })
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Position of the first entry whose key is `>= key`.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        self.entries.partition_point(|e| e.key(&self.body) < key)
+    }
+
+    /// Position of the entry whose key is exactly `key`.
+    fn find(&self, key: &[u8]) -> Option<usize> {
+        let i = self.lower_bound(key);
+        self.entries.get(i).is_some_and(|e| e.key(&self.body) == key).then_some(i)
+    }
+
+    /// Decode the row of entry `i`.
+    fn row(&self, i: usize) -> Result<Row> {
+        Row::decode(&mut self.entries[i].row(&self.body))
+    }
+
+    /// Decode entry `i`: its key and its row.
+    pub(crate) fn entry(&self, i: usize) -> Result<(Key, Row)> {
+        let key = Key::from(self.entries[i].key(&self.body));
+        Ok((key, self.row(i)?))
+    }
+}
+
+/// Iterator over rows of a table in key order, reading one block at a
+/// time (so its memory footprint is one block, regardless of table size)
+/// and decoding each row only as it is yielded.
 pub struct TableIter<'a> {
     table: &'a Table,
+    /// Index of the next block to read.
     block: usize,
-    entries: CachedBlock,
+    current: Option<CachedBlock>,
     pos: usize,
 }
 
@@ -532,9 +614,9 @@ impl TableIter<'_> {
         if self.block >= self.table.index.len() {
             return;
         }
-        if let Ok(entries) = self.table.read_block(self.block) {
-            self.entries = entries;
-            self.pos = self.entries.partition_point(|(k, _)| k < start);
+        if let Ok(block) = self.table.read_block(self.block) {
+            self.pos = block.lower_bound(start.as_bytes());
+            self.current = Some(block);
             self.block += 1;
         }
         // On a read error, leave the iterator pointing at the block so
@@ -547,17 +629,17 @@ impl Iterator for TableIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.pos < self.entries.len() {
-                let item = self.entries[self.pos].clone();
+            if let Some(block) = self.current.as_ref().filter(|b| self.pos < b.len()) {
+                let item = block.entry(self.pos);
                 self.pos += 1;
-                return Some(Ok(item));
+                return Some(item);
             }
             if self.block >= self.table.index.len() {
                 return None;
             }
             match self.table.read_block(self.block) {
-                Ok(entries) => {
-                    self.entries = entries;
+                Ok(block) => {
+                    self.current = Some(block);
                     self.pos = 0;
                     self.block += 1;
                 }

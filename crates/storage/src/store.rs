@@ -76,7 +76,7 @@ pub struct StoreOptions {
     pub bloom_bits_step_per_level: usize,
     /// Upper bound on the per-level bloom budget.
     pub bloom_bits_max: usize,
-    /// Shared block cache for decoded data blocks (`None` = none).
+    /// Shared block cache for verified data blocks (`None` = none).
     pub cache: Option<SharedBlockCache>,
 }
 
@@ -160,7 +160,8 @@ pub struct StoreStats {
     pub cache_hits: u64,
     /// Block-cache misses attributed to this store's tables.
     pub cache_misses: u64,
-    /// Blocks actually read and decoded through the VFS.
+    /// Blocks actually read through the VFS (checksum-verified and
+    /// indexed).
     pub block_reads: u64,
 }
 
@@ -1093,7 +1094,7 @@ impl RangeStore {
         // (streams are sorted and duplicate-free per key), so each
         // stream is truncated there. SSTable streams *seek* to the
         // cursor through the block index ([`Table::iter_from`]) and
-        // decode one block at a time, so a page's memory and work are
+        // read one block at a time, so a page's memory and work are
         // bounded by the page limit and the block size — not by the
         // range size or by how far into the range the cursor sits.
         // Each deeper level is one stream: its tables are disjoint and

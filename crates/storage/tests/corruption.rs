@@ -8,9 +8,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use spinnaker_common::codec::Encode;
 use spinnaker_common::vfs::{MemVfs, Vfs};
-use spinnaker_common::{op, Key, Lsn, Row};
-use spinnaker_storage::{RangeStore, StoreOptions, Table, TableBuilder, TableOptions};
+use spinnaker_common::{crc32c, op, Key, Lsn, Row};
+use spinnaker_storage::{
+    BlockCache, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
+};
 
 fn small_table(vfs: &MemVfs, path: &str) -> Vec<Key> {
     // Tiny blocks so the table has several data blocks + index + bloom.
@@ -162,4 +165,91 @@ fn flipped_sstable_magic_fails_the_store_open() {
     bytes[last] ^= 0x01;
     vfs.write_atomic(&tables[0], &bytes).unwrap();
     assert!(RangeStore::open(Arc::new(vfs.clone()), store_opts()).is_err());
+}
+
+/// Overwrite the table's first data block (at offset 0) with `body`, which
+/// must have the original body's length, and re-seal it with a matching
+/// masked CRC: the block passes its checksum but its contents are
+/// malformed.
+fn reseal_first_block(vfs: &MemVfs, path: &str, body: &[u8]) {
+    let mut bytes = vfs.read_all(path).unwrap();
+    let crc = crc32c::masked(crc32c::crc32c(body));
+    bytes[..body.len()].copy_from_slice(body);
+    bytes[body.len()..body.len() + 4].copy_from_slice(&crc.to_le_bytes());
+    vfs.write_atomic(path, &bytes).unwrap();
+}
+
+#[test]
+fn malformed_block_with_a_valid_checksum_is_a_typed_error() {
+    // Two rows in one data block at offset 0.
+    let (ka, kb) = (Key::from("alpha"), Key::from("bravo"));
+    let row = |k: &str, lsn| {
+        let mut row = Row::new();
+        op::put(k, "col", "some-value").apply_to_row(&mut row, Lsn::new(1, lsn));
+        row
+    };
+    let (ra, rb) = (row("alpha", 1), row("bravo", 2));
+    let mut entry_a = ka.encode_to_vec();
+    ra.encode(&mut entry_a);
+    let mut body = entry_a.clone();
+    kb.encode(&mut body);
+    rb.encode(&mut body);
+
+    let vfs = MemVfs::new();
+    let mut b =
+        TableBuilder::new(Arc::new(vfs.clone()), "t/sst-m", TableOptions::default()).unwrap();
+    b.add(&ka, &ra).unwrap();
+    b.add(&kb, &rb).unwrap();
+    b.finish().unwrap();
+    let pristine = vfs.read_all("t/sst-m").unwrap();
+    assert_eq!(&pristine[..body.len()], &body[..], "block layout as expected");
+    let stored = u32::from_le_bytes(pristine[body.len()..body.len() + 4].try_into().unwrap());
+    assert_eq!(stored, crc32c::masked(crc32c::crc32c(&body)));
+
+    // 1. The second entry truncated mid-row: its key grows by the bytes
+    //    its row loses, so the body keeps its length.
+    let cut = 5;
+    let mut long_key = kb.as_bytes().to_vec();
+    long_key.extend_from_slice(&[b'x'; 5][..cut]);
+    let mut truncated = entry_a.clone();
+    Key::from(long_key).encode(&mut truncated);
+    let rb_enc = rb.encode_to_vec();
+    truncated.extend_from_slice(&rb_enc[..rb_enc.len() - cut]);
+    assert_eq!(truncated.len(), body.len());
+
+    // 2. A tombstone flag of 2 in the first entry's column: after the key,
+    //    the column count, and the column name.
+    let mut bad_flag = body.clone();
+    let flag_at = ka.encode_to_vec().len() + 1 + 1 + b"col".len();
+    assert_eq!(bad_flag[flag_at], 0, "live column flag");
+    bad_flag[flag_at] = 2;
+
+    // 3. The second key's length runs past the end of the body.
+    let mut long_len = body.clone();
+    long_len[entry_a.len()] = 0x7f;
+    assert!(0x7f > body.len() - entry_a.len() - 1);
+
+    for (what, malformed) in
+        [("truncated row", truncated), ("tombstone flag 2", bad_flag), ("key length", long_len)]
+    {
+        reseal_first_block(&vfs, "t/sst-m", &malformed);
+        for cache in [None, Some(Arc::new(BlockCache::new(1 << 20)))] {
+            let ctx = TableCtx { cache, ..Default::default() };
+            let table = Table::open_with(Arc::new(vfs.clone()), "t/sst-m", ctx).unwrap();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                for key in [&ka, &kb, &Key::from("bravo-x"), &Key::from("charlie")] {
+                    // Twice: a failed read must not leave a block cached.
+                    for _ in 0..2 {
+                        let got = table.get_unfiltered(key);
+                        assert!(got.is_err(), "{what}: get {key:?} returned {got:?}");
+                    }
+                }
+                let scan = table.iter().collect::<spinnaker_common::Result<Vec<_>>>();
+                assert!(scan.is_err(), "{what}: iter() returned {scan:?}");
+                let seek = table.iter_from(&kb).collect::<spinnaker_common::Result<Vec<_>>>();
+                assert!(seek.is_err(), "{what}: iter_from returned {seek:?}");
+            }));
+            assert!(outcome.is_ok(), "{what}: malformed block caused a panic");
+        }
+    }
 }
