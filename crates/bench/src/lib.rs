@@ -13,6 +13,7 @@
 //! knees fall — are the reproduction targets. `EXPERIMENTS.md` records
 //! paper-vs-measured for every artifact.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;

@@ -18,6 +18,7 @@
 //!   surface, multi-range scans with continuation, pipelined windows.
 //! * [`client`] — closed-loop workload clients driving sessions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

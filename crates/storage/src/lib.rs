@@ -10,6 +10,7 @@
 //! of checksum-verified, indexed data blocks. The design follows Bigtable's SSTables as the
 //! paper describes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bloom;

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use spinnaker_common::codec::{self, Decode, Encode};
-use spinnaker_common::vfs::SharedVfs;
+use spinnaker_common::vfs::{SharedVfs, VfsFile};
 use spinnaker_common::{Error, Key, Lsn, Result, Row, Timestamp};
 
 use crate::bloom::Bloom;
@@ -110,7 +110,7 @@ pub struct TableBuilder {
     path: String,
     opts: TableOptions,
     ctx: TableCtx,
-    file: Box<dyn spinnaker_common::vfs::VfsFile>,
+    file: Box<dyn VfsFile>,
     offset: u64,
     block: Vec<u8>,
     block_first_key: Option<Key>,
@@ -271,6 +271,12 @@ impl TableBuilder {
 pub struct Table {
     vfs: SharedVfs,
     path: String,
+    /// The handle `open_with` validated the table through, kept for every
+    /// later block read so a cache miss costs no path lookup or handle
+    /// allocation. Tables are never renamed and their ids never reused,
+    /// so the handle names the same immutable bytes until
+    /// [`Table::delete`].
+    file: Box<dyn VfsFile>,
     meta: TableMeta,
     index: Vec<IndexEntry>,
     bloom: Bloom,
@@ -310,7 +316,7 @@ impl Table {
         let footer_len = u32::try_from(footer_len).map_err(|_| {
             Error::Corruption(format!("{path}: implausible footer length {footer_len}"))
         })?;
-        let footer = read_chunk(file.as_ref(), footer_off, footer_len, path)?;
+        let footer = read_chunk(file.as_ref(), file_bytes, footer_off, footer_len, path)?;
         let mut cur: &[u8] = &footer;
         let min_key = Key::decode(&mut cur)?;
         let max_key = Key::decode(&mut cur)?;
@@ -323,7 +329,7 @@ impl Table {
         let bloom_off = codec::get_u64(&mut cur)?;
         let bloom_len = codec::get_u32(&mut cur)?;
 
-        let index_body = read_chunk(file.as_ref(), index_off, index_len, path)?;
+        let index_body = read_chunk(file.as_ref(), file_bytes, index_off, index_len, path)?;
         let mut cur: &[u8] = &index_body;
         // Each entry is at least a 1-byte key (plus its length byte), an
         // 8-byte offset, and a 4-byte length.
@@ -336,13 +342,14 @@ impl Table {
             index.push(IndexEntry { first_key, offset, len });
         }
 
-        let bloom_body = read_chunk(file.as_ref(), bloom_off, bloom_len, path)?;
+        let bloom_body = read_chunk(file.as_ref(), file_bytes, bloom_off, bloom_len, path)?;
         let bloom = Bloom::decode(&mut bloom_body.as_slice())?;
 
         let cache_id = ctx.cache.as_ref().map(|c| c.register_table());
         Ok(Table {
             vfs,
             path: path.to_string(),
+            file,
             meta: TableMeta { min_key, max_key, min_lsn, max_lsn, max_ts, row_count, file_bytes },
             index,
             bloom,
@@ -413,8 +420,8 @@ impl Table {
             self.ctx.metrics.miss();
         }
         self.ctx.metrics.block_read();
-        let file = self.vfs.open(&self.path)?;
-        let body = read_chunk(file.as_ref(), e.offset, e.len, &self.path)?;
+        let body =
+            read_chunk(self.file.as_ref(), self.meta.file_bytes, e.offset, e.len, &self.path)?;
         let block: CachedBlock = Arc::new(Block::parse(body)?);
         if let (Some(cache), Some(id)) = (self.ctx.cache.as_ref(), self.cache_id) {
             // Charge the on-disk chunk size: it is what a miss costs.
@@ -478,8 +485,11 @@ impl Table {
     }
 }
 
+/// Read the checksummed chunk `[offset, +len)` of a `file_bytes`-byte
+/// table file and return its verified body.
 fn read_chunk(
-    file: &dyn spinnaker_common::vfs::VfsFile,
+    file: &dyn VfsFile,
+    file_bytes: u64,
     offset: u64,
     len: u32,
     path: &str,
@@ -487,9 +497,8 @@ fn read_chunk(
     if len < 4 {
         return Err(Error::Corruption(format!("{path}: chunk shorter than its checksum")));
     }
-    // Bound the allocation by the actual file size before trusting a
-    // length that may come from a corrupt footer.
-    let file_bytes = file.len()?;
+    // Bound the allocation by the file size recorded at open before
+    // trusting a length that may come from a corrupt footer or index.
     if u64::from(len) > file_bytes || offset > file_bytes - u64::from(len) {
         return Err(Error::Corruption(format!(
             "{path}: chunk [{offset}, +{len}) outside the {file_bytes}-byte file"

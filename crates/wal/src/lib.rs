@@ -14,6 +14,7 @@
 //!   has flushed past a segment,
 //! * group commit for the threaded runtime ([`GroupCommitWal`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
