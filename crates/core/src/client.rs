@@ -18,7 +18,7 @@ use bytes::Bytes;
 use rand::Rng;
 
 use spinnaker_common::{Consistency, Key, Version};
-use spinnaker_sim::{Actor, Ctx, LatencyStats, ProcId, Time, MILLIS, SECS};
+use spinnaker_sim::{Actor, Ctx, EventId, LatencyStats, ProcId, Time, MILLIS, SECS};
 
 use crate::cluster::{Ev, World};
 use crate::messages::{ClientReply, NodeInput, RequestId};
@@ -153,6 +153,44 @@ struct CondMeta {
     key_index: u64,
 }
 
+/// The retry and backoff timers a session-driving client actor has armed,
+/// per request id. Once the session retires an id its timers can only
+/// fire into a no-op [`Session::on_timeout`], so they are cancelled
+/// instead of left in the event queue.
+#[derive(Default)]
+pub struct RetryTimers(BTreeMap<RequestId, Vec<EventId>>);
+
+impl RetryTimers {
+    /// Deliver [`ClientEv::Timeout`]`(req)` to the current actor after
+    /// `delay`.
+    pub fn arm(&mut self, delay: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
+        let timer = ctx.timer(delay, Ev::Client(ClientEv::Timeout(req)));
+        self.0.entry(req).or_default().push(timer);
+    }
+
+    /// Cancel the timers of every request `session` no longer has
+    /// pending, calling `retired` with each such id. Request ids are
+    /// never reused, so this drops exactly the timers that would fire
+    /// for nothing.
+    pub fn cancel_retired(
+        &mut self,
+        session: &Session,
+        ctx: &mut Ctx<'_, Ev>,
+        mut retired: impl FnMut(RequestId),
+    ) {
+        self.0.retain(|&req, timers| {
+            if session.is_pending(req) {
+                return true;
+            }
+            for &timer in timers.iter() {
+                ctx.cancel(timer);
+            }
+            retired(req);
+            false
+        });
+    }
+}
+
 /// A simulated closed-loop client.
 pub struct ClientHost {
     proc: ProcId,
@@ -173,6 +211,8 @@ pub struct ClientHost {
     started: BTreeMap<CallId, Time>,
     /// Conditional-put calls' key indexes (version adoption on reply).
     cond_meta: BTreeMap<CallId, CondMeta>,
+    /// Retry and backoff timers of the outstanding requests.
+    timers: RetryTimers,
     /// Scripted workloads: next call to run.
     script_pos: usize,
     record_outcomes: bool,
@@ -230,6 +270,7 @@ impl ClientHost {
             versions: BTreeMap::new(),
             started: BTreeMap::new(),
             cond_meta: BTreeMap::new(),
+            timers: RetryTimers::default(),
             script_pos: 0,
             record_outcomes,
         }
@@ -359,8 +400,7 @@ impl ClientHost {
         if let Some(at) = at {
             ctx.schedule_at(at, to, Ev::Input(NodeInput::Client { from: self.proc, req: wire }));
         }
-        // Arm (another) retry timer; stale ones are ignored on fire.
-        ctx.schedule(self.timeout, self.proc, Ev::Client(ClientEv::Timeout(req)));
+        self.timers.arm(self.timeout, req, ctx);
     }
 
     fn complete(&mut self, now: Time, call: CallId, outcome: CallOutcome, ctx: &mut Ctx<'_, Ev>) {
@@ -441,7 +481,7 @@ impl ClientHost {
             SessionStep::Backoff { req } => {
                 // Back off briefly; the Timeout event rotates and retries.
                 self.stats.borrow_mut().retries += 1;
-                ctx.schedule(20 * MILLIS, self.proc, Ev::Client(ClientEv::Timeout(req)));
+                self.timers.arm(20 * MILLIS, req, ctx);
             }
             SessionStep::Done { call, outcome } => self.complete(now, call, outcome, ctx),
         }
@@ -449,7 +489,8 @@ impl ClientHost {
 
     fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
         // The target may be dead: rotate our leader guess and resend
-        // under a fresh id (a stale id means the op completed long ago).
+        // under a fresh id. Timers of retired ids are cancelled, so a
+        // stale id does not reach here; `None` is only a guard.
         if let Some(next) = self.session.on_timeout(req) {
             self.stats.borrow_mut().retries += 1;
             self.transmit(now, next, ctx);
@@ -465,6 +506,7 @@ impl Actor<Ev> for ClientHost {
                 ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
                 ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
             }
+            self.timers.cancel_retired(&self.session, ctx, |_| {});
         }
     }
 }

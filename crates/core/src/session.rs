@@ -303,6 +303,14 @@ impl Session {
         self.pending.get(&req).map(|inf| inf.call)
     }
 
+    /// Whether `req` is still outstanding. Request ids are never reused,
+    /// and one leaves the window only on its own reply or timeout, so
+    /// once this is false every later reply or timeout for `req` is a
+    /// no-op: hosts may cancel its pending timers.
+    pub fn is_pending(&self, req: RequestId) -> bool {
+        self.pending.contains_key(&req)
+    }
+
     /// Enqueue a typed call; it launches when a window slot frees up.
     pub fn submit(&mut self, call: SessionCall) -> CallId {
         let id = self.next_call;

@@ -8,6 +8,13 @@
 //! ```
 //!
 //! Every failure prints the seed; the seed alone reproduces the run.
+//! `--seeds N` runs all N seeds whatever fails on the way, then lists
+//! every failing seed and exits 1 if there was any.
+//!
+//! Some seeds beyond the CI range never finish on their own: 119 stalls,
+//! and 121 and 184 run away (184 grows past 1.9 GB of memory within
+//! minutes). No per-campaign resource budget stops them yet, so a sweep
+//! that includes them needs an outside time and memory cap per seed.
 
 use std::process::ExitCode;
 
@@ -149,26 +156,20 @@ fn main() -> ExitCode {
         return if run_one(seed, &args) { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
 
-    let mut seed = args.start_seed;
-    let mut failures = 0u64;
+    let mut failed = Vec::new();
     let mut ran = 0u64;
-    loop {
-        if !args.soak && ran >= args.seeds {
-            break;
-        }
+    while args.soak || ran < args.seeds {
+        let seed = args.start_seed + ran;
         if !run_one(seed, &args) {
-            failures += 1;
-            if !args.soak {
-                break;
-            }
+            failed.push(seed.to_string());
         }
-        seed += 1;
         ran += 1;
     }
-    println!("{ran} seed(s) run, {failures} failure(s)");
-    if failures == 0 {
+    println!("{ran} seed(s) run, {} failure(s)", failed.len());
+    if failed.is_empty() {
         ExitCode::SUCCESS
     } else {
+        println!("failing seeds: {}", failed.join(" "));
         ExitCode::FAILURE
     }
 }

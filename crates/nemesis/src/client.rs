@@ -25,7 +25,7 @@ use spinnaker_common::{
     ClientError, Consistency, HCons, HErr, HEventKind, HOp, HResult, HState, History, Key,
     ReadCell, Value, Version,
 };
-use spinnaker_core::client::ClientEv;
+use spinnaker_core::client::{ClientEv, RetryTimers};
 use spinnaker_core::cluster::{read_table, Ev, World};
 use spinnaker_core::messages::{ClientReply, ColumnSelect, NodeInput, RequestId};
 use spinnaker_core::partition::Ring;
@@ -88,6 +88,8 @@ pub struct NemesisClient {
     /// Requests whose next Timeout event is a benign backoff rotation,
     /// not a duplicate-risk timeout retransmit.
     backoff: BTreeSet<RequestId>,
+    /// Retry and backoff timers of the outstanding requests.
+    timers: RetryTimers,
     /// Last known `(version, state)` per key index — the belief backing
     /// conditional-op preconditions. Cleared on `VersionMismatch`.
     beliefs: BTreeMap<usize, (Version, HState)>,
@@ -127,6 +129,7 @@ impl NemesisClient {
             timeout: SECS,
             calls: BTreeMap::new(),
             backoff: BTreeSet::new(),
+            timers: RetryTimers::default(),
             beliefs: BTreeMap::new(),
             at_pool: Vec::new(),
         };
@@ -314,7 +317,7 @@ impl NemesisClient {
                 );
             }
         }
-        ctx.schedule(self.timeout, self.proc, Ev::Client(ClientEv::Timeout(req)));
+        self.timers.arm(self.timeout, req, ctx);
     }
 
     /// Fold a read's cells into the register-model state.
@@ -398,7 +401,7 @@ impl NemesisClient {
                 // after the pause is not a duplicate risk, so remember
                 // to swallow the Retry marking when the timer fires.
                 self.backoff.insert(req);
-                ctx.schedule(20 * MILLIS, self.proc, Ev::Client(ClientEv::Timeout(req)));
+                self.timers.arm(20 * MILLIS, req, ctx);
             }
             SessionStep::Done { call, outcome } => self.complete(now, call, outcome),
         }
@@ -429,6 +432,11 @@ impl Actor<Ev> for NemesisClient {
                 ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
                 ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
             }
+            // A retired id's backoff timer is cancelled with its marker.
+            let backoff = &mut self.backoff;
+            self.timers.cancel_retired(&self.session, ctx, |req| {
+                backoff.remove(&req);
+            });
         }
     }
 }

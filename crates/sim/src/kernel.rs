@@ -5,6 +5,28 @@
 //! receive typed events and schedule new ones through [`Ctx`]. A simulated
 //! minute of cluster time costs only the event processing itself, which is
 //! what makes regenerating every figure of the paper practical on a laptop.
+//!
+//! # Cancellation
+//!
+//! Every schedule returns an [`EventId`]; [`Ctx::cancel`] (or
+//! [`Sim::cancel`] from outside) withdraws the event before delivery. The
+//! typical user is a retry timer whose request was answered: it would
+//! otherwise sit in the queue until it fired and was ignored.
+//!
+//! The queue is a binary heap of small `(time, seq, slot)` keys over a
+//! slab of `(seq, target, event)` payloads with a free list. Cancelling
+//! drops the payload at once and frees its slot; the key stays in the heap
+//! and is skipped when it surfaces, because its slot is empty or holds a
+//! payload with another `seq`. The same check makes cancelling a stale id
+//! (already delivered, already cancelled, or a reused slot) a no-op. Once
+//! more than 64 dead keys outnumber the live ones they are purged in one
+//! pass, so the heap stays proportional to the live events.
+//!
+//! Sequence numbers are assigned in push order whether or not an event is
+//! later cancelled, so every delivered event arrives at the same virtual
+//! time and in the same `(time, seq)` order as it would with no
+//! cancellation at all. [`Sim::events_processed`] counts delivered events
+//! only; cancelled ones never reach an actor.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,6 +47,17 @@ pub const SECS: Time = 1_000_000_000;
 /// Identifies an actor registered with the simulator.
 pub type ProcId = u32;
 
+/// Dead heap keys tolerated before a purge is considered at all: below
+/// this, skipping them on pop is cheaper than rebuilding the heap.
+const PURGE_MIN_DEAD: usize = 64;
+
+/// Handle to a scheduled event, for cancelling it before delivery.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
+
 /// A simulation participant.
 pub trait Actor<M> {
     /// Handle an event delivered at virtual time `now`.
@@ -36,7 +69,7 @@ pub struct Ctx<'a, M> {
     now: Time,
     self_id: ProcId,
     rng: &'a mut SmallRng,
-    out: &'a mut Vec<(Time, ProcId, M)>,
+    queue: &'a mut Queue<M>,
     halt: &'a mut bool,
 }
 
@@ -57,19 +90,25 @@ impl<M> Ctx<'_, M> {
     }
 
     /// Deliver `ev` to `target` at absolute time `at` (clamped to now).
-    pub fn schedule_at(&mut self, at: Time, target: ProcId, ev: M) {
-        self.out.push((at.max(self.now), target, ev));
+    pub fn schedule_at(&mut self, at: Time, target: ProcId, ev: M) -> EventId {
+        self.queue.push(at.max(self.now), target, ev)
     }
 
     /// Deliver `ev` to `target` after `delay`.
-    pub fn schedule(&mut self, delay: Time, target: ProcId, ev: M) {
-        self.out.push((self.now + delay, target, ev));
+    pub fn schedule(&mut self, delay: Time, target: ProcId, ev: M) -> EventId {
+        self.queue.push(self.now + delay, target, ev)
     }
 
     /// Deliver `ev` to the current actor after `delay` (a timer).
-    pub fn timer(&mut self, delay: Time, ev: M) {
+    pub fn timer(&mut self, delay: Time, ev: M) -> EventId {
         let id = self.self_id;
-        self.schedule(delay, id, ev);
+        self.schedule(delay, id, ev)
+    }
+
+    /// Withdraw a scheduled event. Returns whether it was still pending;
+    /// a delivered, already cancelled, or otherwise stale id is a no-op.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        self.queue.cancel(id)
     }
 
     /// Stop the simulation after this event completes.
@@ -78,36 +117,97 @@ impl<M> Ctx<'_, M> {
     }
 }
 
-struct QueuedEvent<M> {
-    time: Time,
+/// A scheduled event's body, parked in the slab until delivery.
+struct Payload<M> {
     seq: u64,
     target: ProcId,
     ev: M,
 }
 
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// The event queue: `(time, seq, slot)` keys in a min-heap over a slab of
+/// payloads. A key is live while its slot holds the payload of its `seq`.
+struct Queue<M> {
+    keys: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    slab: Vec<Option<Payload<M>>>,
+    free: Vec<u32>,
+    seq: u64,
 }
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<M> Queue<M> {
+    fn new() -> Queue<M> {
+        Queue { keys: BinaryHeap::new(), slab: Vec::new(), free: Vec::new(), seq: 0 }
     }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    /// Events scheduled and neither delivered nor cancelled.
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    fn push(&mut self, time: Time, target: ProcId, ev: M) -> EventId {
+        let seq = self.seq;
+        self.seq += 1;
+        let payload = Some(Payload { seq, target, ev });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = payload;
+                slot
+            }
+            None => {
+                self.slab.push(payload);
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.keys.push(Reverse((time, seq, slot)));
+        EventId { seq, slot }
+    }
+
+    /// Whether `slot` still holds the payload pushed as `seq`.
+    fn holds(slab: &[Option<Payload<M>>], seq: u64, slot: u32) -> bool {
+        slab.get(slot as usize).and_then(Option::as_ref).is_some_and(|p| p.seq == seq)
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        let Some(cell) = self.slab.get_mut(id.slot as usize) else { return false };
+        if cell.take_if(|p| p.seq == id.seq).is_none() {
+            return false;
+        }
+        self.free.push(id.slot);
+        let dead = self.keys.len() - self.live();
+        if dead > PURGE_MIN_DEAD && dead > self.live() {
+            let slab = &self.slab;
+            self.keys.retain(|Reverse((_, seq, slot))| Queue::holds(slab, *seq, *slot));
+        }
+        true
+    }
+
+    /// Time of the earliest live event, discarding dead keys on the way.
+    fn peek_time(&mut self) -> Option<Time> {
+        while let Some(&Reverse((time, seq, slot))) = self.keys.peek() {
+            if Queue::holds(&self.slab, seq, slot) {
+                return Some(time);
+            }
+            self.keys.pop();
+        }
+        None
+    }
+
+    /// Remove and return the earliest live event.
+    fn pop(&mut self) -> Option<(Time, ProcId, M)> {
+        while let Some(Reverse((time, seq, slot))) = self.keys.pop() {
+            if let Some(p) = self.slab[slot as usize].take_if(|p| p.seq == seq) {
+                self.free.push(slot);
+                return Some((time, p.target, p.ev));
+            }
+        }
+        None
     }
 }
 
 /// The simulator: actors + event queue + virtual clock.
 pub struct Sim<M> {
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    heap: BinaryHeap<Reverse<QueuedEvent<M>>>,
+    queue: Queue<M>,
     time: Time,
-    seq: u64,
     rng: SmallRng,
     halted: bool,
     processed: u64,
@@ -118,9 +218,8 @@ impl<M> Sim<M> {
     pub fn new(seed: u64) -> Sim<M> {
         Sim {
             actors: Vec::new(),
-            heap: BinaryHeap::new(),
+            queue: Queue::new(),
             time: 0,
-            seq: 0,
             rng: SmallRng::seed_from_u64(seed),
             halted: false,
             processed: 0,
@@ -156,10 +255,14 @@ impl<M> Sim<M> {
     }
 
     /// Inject an event from outside the simulation.
-    pub fn schedule(&mut self, at: Time, target: ProcId, ev: M) {
-        let time = at.max(self.time);
-        self.heap.push(Reverse(QueuedEvent { time, seq: self.seq, target, ev }));
-        self.seq += 1;
+    pub fn schedule(&mut self, at: Time, target: ProcId, ev: M) -> EventId {
+        self.queue.push(at.max(self.time), target, ev)
+    }
+
+    /// Withdraw a scheduled event from outside the simulation; see
+    /// [`Ctx::cancel`].
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        self.queue.cancel(id)
     }
 
     /// Current virtual time.
@@ -167,9 +270,14 @@ impl<M> Sim<M> {
         self.time
     }
 
-    /// Total events processed so far.
+    /// Total events delivered so far (cancelled events are not counted).
     pub fn events_processed(&self) -> u64 {
         self.processed
+    }
+
+    /// Events scheduled and neither delivered nor cancelled yet.
+    pub fn pending_events(&self) -> usize {
+        self.queue.live()
     }
 
     /// Process a single event. Returns `false` when the queue is empty or
@@ -178,33 +286,28 @@ impl<M> Sim<M> {
         if self.halted {
             return false;
         }
-        let Some(Reverse(qe)) = self.heap.pop() else {
+        let Some((time, target, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(qe.time >= self.time, "time must be monotonic");
-        self.time = qe.time;
+        debug_assert!(time >= self.time, "time must be monotonic");
+        self.time = time;
         self.processed += 1;
-        if qe.target as usize >= self.actors.len() {
+        if target as usize >= self.actors.len() {
             // Addressed to a process that was never registered (e.g. a
             // test injecting a fake client address): swallow silently,
             // like a datagram to a closed port.
             return true;
         }
-        let mut out: Vec<(Time, ProcId, M)> = Vec::new();
         let mut halt = false;
-        if let Some(actor) = self.actors[qe.target as usize].as_deref_mut() {
+        if let Some(actor) = self.actors[target as usize].as_deref_mut() {
             let mut ctx = Ctx {
-                now: self.time,
-                self_id: qe.target,
+                now: time,
+                self_id: target,
                 rng: &mut self.rng,
-                out: &mut out,
+                queue: &mut self.queue,
                 halt: &mut halt,
             };
-            actor.on_event(self.time, qe.ev, &mut ctx);
-        }
-        for (at, target, ev) in out {
-            self.heap.push(Reverse(QueuedEvent { time: at, seq: self.seq, target, ev }));
-            self.seq += 1;
+            actor.on_event(time, ev, &mut ctx);
         }
         if halt {
             self.halted = true;
@@ -216,8 +319,8 @@ impl<M> Sim<M> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
         let start = self.processed;
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.time > deadline || self.halted {
+        while let Some(time) = self.queue.peek_time() {
+            if time > deadline || self.halted {
                 break;
             }
             self.step();
