@@ -111,34 +111,6 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
-fn bench_paxos(c: &mut Criterion) {
-    use spinnaker_paxos::{Acceptor, Action, Msg, Proposer};
-    c.bench_function("paxos/single_decree_round", |b| {
-        b.iter(|| {
-            let mut acceptors: Vec<Acceptor<u64>> = (0..3).map(|_| Acceptor::new()).collect();
-            let mut p = Proposer::new(0, 3, 42u64);
-            let Action::Broadcast(Msg::Prepare { n }) = p.start() else { unreachable!() };
-            let mut accept = None;
-            for (i, a) in acceptors.iter_mut().enumerate() {
-                let reply = a.on_prepare(n);
-                if let Some(Action::Broadcast(m)) = p.on_msg(i as u32, reply) {
-                    accept = Some(m);
-                }
-            }
-            let Some(Msg::Accept { n, value }) = accept else { unreachable!() };
-            let mut chosen = None;
-            for (i, a) in acceptors.iter_mut().enumerate() {
-                if let Some(ok) = a.on_accept(n, value) {
-                    if let Some(Action::Chosen(v)) = p.on_msg(i as u32, ok) {
-                        chosen = Some(v);
-                    }
-                }
-            }
-            chosen
-        })
-    });
-}
-
 fn bench_merkle(c: &mut Criterion) {
     let rows: Vec<(Key, u64)> =
         (0..10_000u64).map(|i| (Key::from(format!("key{i:06}").into_bytes()), i * 7)).collect();
@@ -189,7 +161,6 @@ criterion_group!(
     bench_sstable,
     bench_wal,
     bench_store,
-    bench_paxos,
     bench_merkle,
     bench_cluster_sim,
 );

@@ -46,7 +46,7 @@ fn main() {
     let stats: Vec<_> = (0..clients)
         .map(|_| {
             let s = cluster.add_client(
-                Workload::HotSpotWrites { value_size: 512, span: 4096 },
+                Workload::SpanWrites { value_size: 512, lo: 0, hi: 4096 },
                 SECS,
                 SECS,
                 end,

@@ -2,28 +2,32 @@
 //! threads that issue the next operation as soon as the previous one
 //! completes; sweeping the thread count sweeps the offered load).
 //!
-//! A [`ClientHost`] drives a typed [`Session`] inside the simulator: the
-//! session owns routing, redirects, scan continuation, and the
-//! outstanding-op window; the host generates operations from its
-//! [`Workload`], times completions, and records statistics. With
-//! `pipeline > 1` the host keeps that many calls in flight at once —
-//! cheaper to sweep at high offered load, and the leader sees real
-//! batches to group-commit.
+//! A [`ClientHost`] is the one in-sim session client. It drives a typed
+//! [`Session`] (routing, redirects, scan continuation, the outstanding-op
+//! window) and owns the transport: it sends each request over the
+//! simulated network, arms its retry timer, backs off after an
+//! `Unavailable`, and rotates and re-sends on a timeout. What to run and
+//! what to record is its [`Driver`]'s business. The figures' driver
+//! generates operations from a [`Workload`] and fills [`ClientStats`];
+//! the chaos client records a checkable history. With `pipeline > 1`
+//! the host keeps that many calls in flight at once — cheaper to sweep
+//! at high offered load, and the leader sees real batches to
+//! group-commit.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use bytes::Bytes;
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 use spinnaker_common::{Consistency, Key, Version};
-use spinnaker_sim::{Actor, Ctx, EventId, LatencyStats, ProcId, Time, MILLIS, SECS};
+use spinnaker_sim::{Actor, Ctx, EventId, LatencyStats, Time, MILLIS, SECS};
 
-use crate::cluster::{Ev, World};
-use crate::messages::{ClientReply, NodeInput, RequestId};
-use crate::partition::u64_to_key;
-use crate::partition::Ring;
+use crate::cluster::{read_table, Ev, World};
+use crate::messages::{ClientError, ClientReply, ColumnSelect, NodeInput, RequestId};
+use crate::partition::{u64_to_key, Ring};
 use crate::session::{CallId, CallOutcome, Session, SessionCall, SessionStep};
 
 /// Client-side events.
@@ -109,16 +113,6 @@ pub enum Workload {
         /// Value size.
         value_size: usize,
     },
-    /// Uniformly random writes over the first `span` key indexes — a hot
-    /// range under contention. Used by the scale-out experiment (fig17):
-    /// after the hot range splits, each operation independently lands on
-    /// one of the children.
-    HotSpotWrites {
-        /// Value size.
-        value_size: usize,
-        /// Number of distinct hot keys (all inside range 0's span).
-        span: u64,
-    },
     /// Uniformly random writes over key indexes `[lo, hi)` — traffic
     /// confined to one slice of the space, so per-range throughput can
     /// be measured across splits, merges, and replica movements (fig18).
@@ -149,134 +143,278 @@ pub enum Workload {
     Script(Rc<Vec<SessionCall>>),
 }
 
-struct CondMeta {
-    key_index: u64,
+/// How long a request may go unanswered before it is re-sent to the
+/// next replica.
+const RETRY_TIMEOUT: Time = SECS;
+
+/// Pause before re-sending a request its cohort answered `Unavailable`.
+const BACKOFF: Time = 20 * MILLIS;
+
+/// Why a [`ClientHost`] re-sent a request.
+#[derive(Clone, Copy, Debug)]
+pub enum Resend {
+    /// A `NotLeader` or `WrongRange` reply rejected the attempt and named
+    /// a better target.
+    Redirect {
+        /// Whether a newer range table was adopted on the way.
+        refreshed_ring: bool,
+    },
+    /// The cohort answered `Unavailable`; the request rotates and goes
+    /// out again after a short pause.
+    Backoff,
+    /// A backoff pause ended: the request was rotated and re-sent.
+    Rotate,
+    /// No answer within the timeout: the request was rotated and
+    /// re-sent. The lost attempt may still have applied.
+    Timeout,
 }
 
-/// The retry and backoff timers a session-driving client actor has armed,
-/// per request id. Once the session retires an id its timers can only
-/// fire into a no-op [`Session::on_timeout`], so they are cancelled
-/// instead of left in the event queue.
-#[derive(Default)]
-pub struct RetryTimers(BTreeMap<RequestId, Vec<EventId>>);
+/// What a [`ClientHost`] runs and what it records: the host owns the
+/// transport and the retries, its driver owns the calls.
+pub trait Driver {
+    /// Per-call bookkeeping, carried from submission to completion.
+    type Call;
 
-impl RetryTimers {
-    /// Deliver [`ClientEv::Timeout`]`(req)` to the current actor after
-    /// `delay`.
-    pub fn arm(&mut self, delay: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        let timer = ctx.timer(delay, Ev::Client(ClientEv::Timeout(req)));
-        self.0.entry(req).or_default().push(timer);
+    /// The next call to submit, or `None` when there is nothing to issue.
+    fn next_call(&mut self, now: Time, rng: &mut SmallRng) -> Option<(SessionCall, Self::Call)>;
+
+    /// A call submitted at `started` finished with `outcome`. A returned
+    /// redo is submitted in its place at once and keeps `started`.
+    fn done(
+        &mut self,
+        now: Time,
+        started: Time,
+        call: Self::Call,
+        outcome: CallOutcome,
+    ) -> Option<(SessionCall, Self::Call)>;
+
+    /// The host re-sent a request of `call`, or will after a
+    /// [`Resend::Backoff`] pause.
+    fn resend(&mut self, now: Time, call: Option<&Self::Call>, why: Resend);
+
+    /// Mean think time between issues. `None` runs the closed loop: the
+    /// window is filled at start and refilled on every completion.
+    /// `Some` paces issues instead — each start event issues at most one
+    /// call and re-arms itself after a jittered think time.
+    fn think(&self) -> Option<Time> {
+        None
     }
 
-    /// Cancel the timers of every request `session` no longer has
-    /// pending, calling `retired` with each such id. Request ids are
-    /// never reused, so this drops exactly the timers that would fire
-    /// for nothing.
-    pub fn cancel_retired(
-        &mut self,
-        session: &Session,
-        ctx: &mut Ctx<'_, Ev>,
-        mut retired: impl FnMut(RequestId),
-    ) {
-        self.0.retain(|&req, timers| {
-            if session.is_pending(req) {
+    /// True once a paced driver has issued its whole budget; its start
+    /// events stop re-arming.
+    fn exhausted(&self) -> bool {
+        false
+    }
+}
+
+/// The one simulated session client: a [`Session`] plus its transport,
+/// driven by `D`. Register one with
+/// [`SimCluster::add_driver`](crate::cluster::SimCluster::add_driver).
+pub struct ClientHost<D: Driver> {
+    session: Session,
+    world: World,
+    driver: D,
+    /// Target number of calls in flight (1 = classic closed loop).
+    pipeline: usize,
+    /// Each in-flight call's start time (a redo inherits it) and its
+    /// driver bookkeeping.
+    calls: BTreeMap<CallId, (Time, D::Call)>,
+    /// Retry and backoff timers of the outstanding requests. Once the
+    /// session retires an id its timers could only fire into a no-op
+    /// [`Session::on_timeout`], so they are cancelled instead.
+    timers: BTreeMap<RequestId, Vec<EventId>>,
+    /// Requests whose next timeout is a backoff rotation, not a lost
+    /// attempt.
+    backoff: BTreeSet<RequestId>,
+}
+
+impl<D: Driver> ClientHost<D> {
+    /// A client starting from `ring` (it converges through `WrongRange`
+    /// refreshes) keeping up to `pipeline` calls in flight. It sends
+    /// from its own proc id and starts on [`ClientEv::Start`].
+    pub(crate) fn new(ring: Ring, world: World, pipeline: usize, driver: D) -> ClientHost<D> {
+        let pipeline = pipeline.max(1);
+        ClientHost {
+            session: Session::new(ring, pipeline),
+            world,
+            driver,
+            pipeline,
+            calls: BTreeMap::new(),
+            timers: BTreeMap::new(),
+            backoff: BTreeSet::new(),
+        }
+    }
+
+    fn submit(&mut self, started: Time, (call, meta): (SessionCall, D::Call)) {
+        let id = self.session.submit(call);
+        self.calls.insert(id, (started, meta));
+    }
+
+    /// Transmit everything the session launches.
+    fn launch(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
+        for req in self.session.launch() {
+            self.transmit(now, req, ctx);
+        }
+    }
+
+    /// Closed loop: submit new calls until `pipeline` are in flight.
+    fn fill(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
+        while self.session.occupancy() < self.pipeline {
+            let Some(next) = self.driver.next_call(now, ctx.rng()) else { break };
+            self.submit(now, next);
+        }
+        self.launch(now, ctx);
+    }
+
+    fn start(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
+        let Some(think) = self.driver.think() else { return self.fill(now, ctx) };
+        // Paced: at most one issue per tick, and no tick once the budget
+        // is spent (each tick draws from the shared RNG).
+        if self.driver.exhausted() {
+            return;
+        }
+        if self.session.occupancy() < self.pipeline {
+            if let Some(next) = self.driver.next_call(now, ctx.rng()) {
+                self.submit(now, next);
+            }
+            self.launch(now, ctx);
+        }
+        if !self.driver.exhausted() {
+            let delay = ctx.rng().gen_range(think / 2..=think + think / 2);
+            ctx.timer(delay.max(1), Ev::Client(ClientEv::Start));
+        }
+    }
+
+    /// Send (or re-send) the outstanding request `req` and arm its retry
+    /// timer.
+    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
+        let Some((to, wire)) = self.session.wire(req, ctx.rng()) else { return };
+        let from = ctx.self_id();
+        let at =
+            self.world.net.borrow_mut().delivery_time(now, from, to, wire.wire_size(), ctx.rng());
+        if let Some(at) = at {
+            ctx.schedule_at(at, to, Ev::Input(NodeInput::Client { from, req: wire }));
+        }
+        self.arm(RETRY_TIMEOUT, req, ctx);
+    }
+
+    /// Deliver [`ClientEv::Timeout`]`(req)` to this client after `delay`.
+    fn arm(&mut self, delay: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
+        let timer = ctx.timer(delay, Ev::Client(ClientEv::Timeout(req)));
+        self.timers.entry(req).or_default().push(timer);
+    }
+
+    /// Tell the driver that `req`'s call is being re-sent.
+    fn resend(&mut self, now: Time, req: RequestId, why: Resend) {
+        let call = self.session.call_of(req).and_then(|c| self.calls.get(&c));
+        self.driver.resend(now, call.map(|(_, meta)| meta), why);
+    }
+
+    fn complete(&mut self, now: Time, call: CallId, outcome: CallOutcome, ctx: &mut Ctx<'_, Ev>) {
+        let Some((started, meta)) = self.calls.remove(&call) else { return };
+        match self.driver.done(now, started, meta, outcome) {
+            Some(redo) => {
+                self.submit(started, redo);
+                self.launch(now, ctx);
+            }
+            None if self.driver.think().is_none() => self.fill(now, ctx),
+            None => {}
+        }
+    }
+
+    fn on_reply(&mut self, now: Time, reply: ClientReply, ctx: &mut Ctx<'_, Ev>) {
+        match self.session.on_reply(reply, || read_table(&self.world)) {
+            SessionStep::None => {}
+            SessionStep::Retransmit { req, refreshed_ring } => {
+                self.resend(now, req, Resend::Redirect { refreshed_ring });
+                self.transmit(now, req, ctx);
+            }
+            SessionStep::Continue { req } => self.transmit(now, req, ctx),
+            SessionStep::Backoff { req } => {
+                // The timer's Timeout rotates and re-sends.
+                self.resend(now, req, Resend::Backoff);
+                self.backoff.insert(req);
+                self.arm(BACKOFF, req, ctx);
+            }
+            SessionStep::Done { call, outcome } => self.complete(now, call, outcome, ctx),
+        }
+    }
+
+    fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
+        // The target may be dead: rotate the leader guess and re-send
+        // under a fresh id. Timers of retired ids are cancelled, so a
+        // stale id does not reach here; `None` is only a guard.
+        let why = if self.backoff.remove(&req) { Resend::Rotate } else { Resend::Timeout };
+        if let Some(next) = self.session.on_timeout(req) {
+            self.resend(now, next, why);
+            self.transmit(now, next, ctx);
+        }
+    }
+}
+
+impl<D: Driver> Actor<Ev> for ClientHost<D> {
+    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
+        let Ev::Client(cev) = ev else { return };
+        match cev {
+            ClientEv::Start => self.start(now, ctx),
+            ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
+            ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
+        }
+        // Request ids are never reused: drop exactly the timers (and
+        // backoff markers) of the ids the session retired.
+        let (session, backoff) = (&self.session, &mut self.backoff);
+        self.timers.retain(|req, timers| {
+            if session.is_pending(*req) {
                 return true;
             }
             for &timer in timers.iter() {
                 ctx.cancel(timer);
             }
-            retired(req);
+            backoff.remove(req);
             false
         });
     }
 }
 
-/// A simulated closed-loop client.
-pub struct ClientHost {
-    proc: ProcId,
-    session: Session,
+/// The figures' driver: generates operations from a [`Workload`] in a
+/// closed loop and accounts them in [`ClientStats`].
+pub(crate) struct WorkloadDriver {
     workload: Workload,
-    world: World,
     stats: SharedStats,
+    /// `(measure_from, measure_to)`.
     window: (Time, Time),
-    /// Target number of calls in flight (1 = classic closed loop).
-    pipeline: usize,
     value: Bytes,
-    timeout: Time,
     write_index: u64,
     start_index: Option<u64>,
+    /// Conditional puts: the last version seen per key index.
     versions: BTreeMap<u64, Version>,
-    /// When each in-flight call was started (for latency accounting; a
-    /// conditional-put redo inherits the original start time).
-    started: BTreeMap<CallId, Time>,
-    /// Conditional-put calls' key indexes (version adoption on reply).
-    cond_meta: BTreeMap<CallId, CondMeta>,
-    /// Retry and backoff timers of the outstanding requests.
-    timers: RetryTimers,
     /// Scripted workloads: next call to run.
     script_pos: usize,
-    record_outcomes: bool,
 }
 
-impl ClientHost {
-    /// Build a single-outstanding-op client (the classic closed loop).
-    /// `window` is `(measure_from, measure_to)`.
-    pub fn new(
-        proc: ProcId,
-        ring: Ring,
-        workload: Workload,
-        world: World,
-        stats: SharedStats,
-        window: (Time, Time),
-    ) -> ClientHost {
-        ClientHost::with_pipeline(proc, ring, workload, world, stats, window, 1)
-    }
-
-    /// Build a client keeping up to `pipeline` calls outstanding.
-    pub fn with_pipeline(
-        proc: ProcId,
-        ring: Ring,
-        workload: Workload,
-        world: World,
-        stats: SharedStats,
-        window: (Time, Time),
-        pipeline: usize,
-    ) -> ClientHost {
+impl WorkloadDriver {
+    pub(crate) fn new(workload: Workload, stats: SharedStats, window: (Time, Time)) -> Self {
         let value_size = match &workload {
             Workload::Writes { value_size, .. }
             | Workload::Mixed { value_size, .. }
             | Workload::ConditionalPuts { value_size, .. }
             | Workload::SingleRangeWrites { value_size }
-            | Workload::HotSpotWrites { value_size, .. }
             | Workload::SpanWrites { value_size, .. } => *value_size,
             Workload::Reads { .. } | Workload::Scans { .. } | Workload::Script(_) => 0,
         };
-        let record_outcomes = matches!(workload, Workload::Script(_));
-        // Scripts run strictly sequentially regardless of the pipeline
-        // knob: their calls often depend on earlier effects.
-        let pipeline = if record_outcomes { 1 } else { pipeline.max(1) };
-        ClientHost {
-            proc,
-            session: Session::new(ring, pipeline),
+        WorkloadDriver {
             workload,
-            world,
             stats,
             window,
-            pipeline,
             value: Bytes::from(vec![0x5au8; value_size.max(1)]),
-            timeout: SECS,
             write_index: 0,
             start_index: None,
             versions: BTreeMap::new(),
-            started: BTreeMap::new(),
-            cond_meta: BTreeMap::new(),
-            timers: RetryTimers::default(),
             script_pos: 0,
-            record_outcomes,
         }
     }
 
-    fn key_for_index(&self, keys: u64, index: u64) -> Key {
+    fn key_for_index(keys: u64, index: u64) -> Key {
         // Spread key indexes across the whole space (and therefore across
         // all cohorts) while keeping per-client sequences deterministic.
         u64_to_key((index % keys.max(1)).wrapping_mul(u64::MAX / keys.max(1)))
@@ -286,69 +424,72 @@ impl ClientHost {
         SessionCall::Put { key, cells: vec![(Bytes::from_static(b"c"), self.value.clone())] }
     }
 
-    /// Generate the next operation, or `None` when the workload is
-    /// exhausted (scripts) .
-    fn next_call(
-        &mut self,
-        rng: &mut rand::rngs::SmallRng,
-    ) -> Option<(SessionCall, Option<CondMeta>)> {
+    fn get_call(key: Key, consistency: Consistency) -> SessionCall {
+        SessionCall::Get { key, columns: ColumnSelect::One(Bytes::from_static(b"c")), consistency }
+    }
+
+    /// A conditional put of `key_index`, with the call's bookkeeping.
+    fn cond_put(&self, keys: u64, key_index: u64, expected: Version) -> (SessionCall, Option<u64>) {
+        let call = SessionCall::ConditionalPut {
+            key: WorkloadDriver::key_for_index(keys, key_index),
+            col: Bytes::from_static(b"c"),
+            value: self.value.clone(),
+            expected,
+        };
+        (call, Some(key_index))
+    }
+
+    fn finish(&mut self, now: Time, started: Time) {
+        let latency = now - started;
+        let mut stats = self.stats.borrow_mut();
+        stats.total_completed += 1;
+        if now >= self.window.0 && now <= self.window.1 {
+            stats.latency.record(latency);
+            stats.completed += 1;
+        }
+        if let Some(trace) = stats.trace.as_mut() {
+            trace.push((now, latency));
+        }
+    }
+}
+
+impl Driver for WorkloadDriver {
+    /// A conditional put's key index (version adoption on reply).
+    type Call = Option<u64>;
+
+    fn next_call(&mut self, _now: Time, rng: &mut SmallRng) -> Option<(SessionCall, Option<u64>)> {
         let start = *self.start_index.get_or_insert_with(|| rng.gen());
         Some(match self.workload.clone() {
-            Workload::Reads { keys, consistency } => (
-                SessionCall::Get {
-                    key: self.key_for_index(keys, rng.gen_range(0..keys)),
-                    columns: crate::messages::ColumnSelect::One(Bytes::from_static(b"c")),
-                    consistency,
-                },
-                None,
-            ),
+            Workload::Reads { keys, consistency } => {
+                let key = WorkloadDriver::key_for_index(keys, rng.gen_range(0..keys));
+                (WorkloadDriver::get_call(key, consistency), None)
+            }
             Workload::Writes { keys, .. } => {
                 let index = start.wrapping_add(self.write_index);
                 self.write_index += 1;
-                (self.put_call(self.key_for_index(keys, index)), None)
+                (self.put_call(WorkloadDriver::key_for_index(keys, index)), None)
             }
             Workload::Mixed { keys, write_pct, consistency, .. } => {
                 if rng.gen_range(0..100u8) < write_pct {
                     let index = start.wrapping_add(self.write_index);
                     self.write_index += 1;
-                    (self.put_call(self.key_for_index(keys, index)), None)
+                    (self.put_call(WorkloadDriver::key_for_index(keys, index)), None)
                 } else {
-                    (
-                        SessionCall::Get {
-                            key: self.key_for_index(keys, rng.gen_range(0..keys)),
-                            columns: crate::messages::ColumnSelect::One(Bytes::from_static(b"c")),
-                            consistency,
-                        },
-                        None,
-                    )
+                    let key = WorkloadDriver::key_for_index(keys, rng.gen_range(0..keys));
+                    (WorkloadDriver::get_call(key, consistency), None)
                 }
             }
             Workload::ConditionalPuts { keys, .. } => {
                 let key_index = (start.wrapping_add(self.write_index)) % keys.max(1);
                 self.write_index += 1;
                 let expected = self.versions.get(&key_index).copied().unwrap_or(0);
-                (
-                    SessionCall::ConditionalPut {
-                        key: self.key_for_index(keys, key_index),
-                        col: Bytes::from_static(b"c"),
-                        value: self.value.clone(),
-                        expected,
-                    },
-                    Some(CondMeta { key_index }),
-                )
+                self.cond_put(keys, key_index, expected)
             }
             Workload::SingleRangeWrites { .. } => {
                 // Keys strictly inside range 0: low end of the space.
                 let index = self.write_index % 4096;
                 self.write_index += 1;
                 (self.put_call(u64_to_key(index)), None)
-            }
-            Workload::HotSpotWrites { span, .. } => {
-                // Uniformly random keys within the hot span: every write
-                // hits the hot range, and once that range is split the
-                // load spreads across its children per-operation instead
-                // of marching through them in lockstep.
-                (self.put_call(u64_to_key(rng.gen_range(0..span.max(1)))), None)
             }
             Workload::SpanWrites { lo, hi, .. } => {
                 (self.put_call(u64_to_key(rng.gen_range(lo..hi.max(lo + 1)))), None)
@@ -376,137 +517,43 @@ impl ClientHost {
         })
     }
 
-    /// Keep the window full: submit new calls until `pipeline` are in
-    /// flight, then transmit everything the session launches.
-    fn fill(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
-        while self.session.occupancy() < self.pipeline {
-            let Some((call, meta)) = self.next_call(ctx.rng()) else { break };
-            let id = self.session.submit(call);
-            self.started.insert(id, now);
-            if let Some(meta) = meta {
-                self.cond_meta.insert(id, meta);
+    fn done(
+        &mut self,
+        now: Time,
+        started: Time,
+        key_index: Option<u64>,
+        outcome: CallOutcome,
+    ) -> Option<(SessionCall, Option<u64>)> {
+        match (key_index, outcome) {
+            (Some(key_index), CallOutcome::Written { version, .. }) => {
+                self.versions.insert(key_index, version);
             }
-        }
-        for req in self.session.launch() {
-            self.transmit(now, req, ctx);
-        }
-    }
-
-    /// Send (or re-send) the outstanding request `req`.
-    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        let Some((to, wire)) = self.session.wire(req, ctx.rng()) else { return };
-        let bytes = wire.wire_size();
-        let at = self.world.net.borrow_mut().delivery_time(now, self.proc, to, bytes, ctx.rng());
-        if let Some(at) = at {
-            ctx.schedule_at(at, to, Ev::Input(NodeInput::Client { from: self.proc, req: wire }));
-        }
-        self.timers.arm(self.timeout, req, ctx);
-    }
-
-    fn complete(&mut self, now: Time, call: CallId, outcome: CallOutcome, ctx: &mut Ctx<'_, Ev>) {
-        // A conditional-put workload treats a mismatch as §3 prescribes:
-        // adopt the observed version and retry the increment — the call
-        // is not complete yet (the redo keeps the original start time).
-        if let Some(meta) = self.cond_meta.remove(&call) {
-            let started = self.started.remove(&call).unwrap_or(now);
-            match outcome {
-                CallOutcome::Written { version, .. } => {
-                    self.versions.insert(meta.key_index, version);
-                    self.finish(now, started);
-                }
-                CallOutcome::Failed(crate::messages::ClientError::VersionMismatch { actual }) => {
-                    self.versions.insert(meta.key_index, actual);
-                    let mut stats = self.stats.borrow_mut();
-                    stats.retries += 1;
-                    stats.cond_mismatches += 1;
-                    drop(stats);
-                    let keys = match self.workload {
-                        Workload::ConditionalPuts { keys, .. } => keys,
-                        _ => 1,
-                    };
-                    let redo = SessionCall::ConditionalPut {
-                        key: self.key_for_index(keys, meta.key_index),
-                        col: Bytes::from_static(b"c"),
-                        value: self.value.clone(),
-                        expected: actual,
-                    };
-                    let id = self.session.submit(redo);
-                    self.started.insert(id, started);
-                    self.cond_meta.insert(id, CondMeta { key_index: meta.key_index });
-                    for req in self.session.launch() {
-                        self.transmit(now, req, ctx);
-                    }
-                    return;
-                }
-                _ => self.finish(now, started),
-            }
-        } else {
-            let started = self.started.remove(&call).unwrap_or(now);
-            if self.record_outcomes {
-                self.stats.borrow_mut().outcomes.push(outcome);
-            }
-            self.finish(now, started);
-        }
-        self.fill(now, ctx);
-    }
-
-    fn finish(&mut self, now: Time, started: Time) {
-        let latency = now - started;
-        let mut stats = self.stats.borrow_mut();
-        stats.total_completed += 1;
-        if now >= self.window.0 && now <= self.window.1 {
-            stats.latency.record(latency);
-            stats.completed += 1;
-        }
-        if let Some(trace) = stats.trace.as_mut() {
-            trace.push((now, latency));
-        }
-    }
-
-    fn on_reply(&mut self, now: Time, reply: ClientReply, ctx: &mut Ctx<'_, Ev>) {
-        let world = self.world.clone();
-        let step = self.session.on_reply(reply, || crate::cluster::read_table(&world));
-        match step {
-            SessionStep::None => {}
-            SessionStep::Retransmit { req, refreshed_ring } => {
+            // A conditional-put workload treats a mismatch as §3
+            // prescribes: adopt the observed version and retry the
+            // increment — the call is not complete yet.
+            (Some(key_index), CallOutcome::Failed(ClientError::VersionMismatch { actual })) => {
+                self.versions.insert(key_index, actual);
                 let mut stats = self.stats.borrow_mut();
                 stats.retries += 1;
-                if refreshed_ring {
-                    stats.ring_refreshes += 1;
-                }
+                stats.cond_mismatches += 1;
                 drop(stats);
-                self.transmit(now, req, ctx);
+                let Workload::ConditionalPuts { keys, .. } = self.workload else { return None };
+                return Some(self.cond_put(keys, key_index, actual));
             }
-            SessionStep::Continue { req } => self.transmit(now, req, ctx),
-            SessionStep::Backoff { req } => {
-                // Back off briefly; the Timeout event rotates and retries.
-                self.stats.borrow_mut().retries += 1;
-                self.timers.arm(20 * MILLIS, req, ctx);
+            (None, outcome) if matches!(self.workload, Workload::Script(_)) => {
+                self.stats.borrow_mut().outcomes.push(outcome);
             }
-            SessionStep::Done { call, outcome } => self.complete(now, call, outcome, ctx),
+            _ => {}
         }
+        self.finish(now, started);
+        None
     }
 
-    fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        // The target may be dead: rotate our leader guess and resend
-        // under a fresh id. Timers of retired ids are cancelled, so a
-        // stale id does not reach here; `None` is only a guard.
-        if let Some(next) = self.session.on_timeout(req) {
-            self.stats.borrow_mut().retries += 1;
-            self.transmit(now, next, ctx);
-        }
-    }
-}
-
-impl Actor<Ev> for ClientHost {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        if let Ev::Client(cev) = ev {
-            match cev {
-                ClientEv::Start => self.fill(now, ctx),
-                ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
-                ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
-            }
-            self.timers.cancel_retired(&self.session, ctx, |_| {});
+    fn resend(&mut self, _now: Time, _call: Option<&Option<u64>>, why: Resend) {
+        let mut stats = self.stats.borrow_mut();
+        stats.retries += 1;
+        if let Resend::Redirect { refreshed_ring: true } = why {
+            stats.ring_refreshes += 1;
         }
     }
 }

@@ -22,7 +22,7 @@ use spinnaker_sim::{
     SkewedClock, Time, MICROS, MILLIS, SECS,
 };
 
-use crate::client::{ClientEv, ClientHost, ClientStats, Workload};
+use crate::client::{ClientEv, ClientHost, ClientStats, Driver, Workload, WorkloadDriver};
 use crate::coordcli::{CoordClient, DeliveryBus, SharedCoord};
 use crate::messages::{NodeInput, Outbox, PeerMsg, TimerKind};
 use crate::node::{Node, NodeConfig, Role};
@@ -214,9 +214,7 @@ impl World {
 }
 
 /// Read the current range table from the coordination service.
-/// Public so external client hosts (e.g. the nemesis fleet) can use the
-/// same ring-refresh closure as [`ClientHost`].
-pub fn read_table(world: &World) -> Option<Ring> {
+pub(crate) fn read_table(world: &World) -> Option<Ring> {
     world
         .coord
         .borrow_mut()
@@ -516,7 +514,6 @@ pub struct SimCluster {
     pub ring: Ring,
     cfg: ClusterConfig,
     hosts: Vec<Rc<RefCell<NodeHost>>>,
-    clients: Vec<Rc<RefCell<ClientHost>>>,
 }
 
 impl SimCluster {
@@ -569,7 +566,7 @@ impl SimCluster {
         for node_id in 0..cfg.nodes as ProcId {
             sim.schedule(0, node_id, Ev::Restart);
         }
-        SimCluster { sim, world, ring, cfg, hosts, clients: Vec::new() }
+        SimCluster { sim, world, ring, cfg, hosts }
     }
 
     /// Register a closed-loop client; it starts issuing at `start_at` and
@@ -598,25 +595,30 @@ impl SimCluster {
         measure_to: Time,
     ) -> Rc<RefCell<ClientStats>> {
         let stats = Rc::new(RefCell::new(ClientStats::default()));
-        // Two-phase registration: reserve the proc id, then build the
-        // client that knows it.
-        let proc = self.sim.add_actor(Box::new(Noop));
-        let client = Rc::new(RefCell::new(ClientHost::with_pipeline(
-            proc,
-            // Clients start from the boot-time table — even when added
-            // late — and converge through WrongRange refreshes, exactly
-            // like a real client holding a cached table.
-            self.ring.clone(),
-            workload,
-            self.world.clone(),
-            stats.clone(),
-            (measure_from, measure_to),
-            pipeline,
-        )));
-        self.sim.replace_actor(proc, Box::new(RcActor(client.clone())));
-        self.clients.push(client);
-        self.sim.schedule(start_at, proc, Ev::Client(ClientEv::Start));
+        // Scripts run strictly sequentially regardless of the pipeline
+        // knob: their calls often depend on earlier effects.
+        let pipeline = if matches!(workload, Workload::Script(_)) { 1 } else { pipeline };
+        let driver = WorkloadDriver::new(workload, stats.clone(), (measure_from, measure_to));
+        self.add_driver(driver, pipeline, start_at);
         stats
+    }
+
+    /// Register a [`ClientHost`] running `driver` with up to `pipeline`
+    /// calls in flight, starting at `start_at`. Returns its proc id
+    /// (registration order, after the nodes and the coordination ticker).
+    pub fn add_driver<D: Driver + 'static>(
+        &mut self,
+        driver: D,
+        pipeline: usize,
+        start_at: Time,
+    ) -> ProcId {
+        // Clients start from the boot-time table — even when added late —
+        // and converge through WrongRange refreshes, exactly like a real
+        // client holding a cached table.
+        let client = ClientHost::new(self.ring.clone(), self.world.clone(), pipeline, driver);
+        let proc = self.sim.add_actor(Box::new(client));
+        self.sim.schedule(start_at, proc, Ev::Client(ClientEv::Start));
+        proc
     }
 
     /// Run a fixed list of typed [`SessionCall`]s strictly in order
@@ -782,11 +784,4 @@ impl SimCluster {
         }
         (syncs, reqs)
     }
-}
-
-/// Placeholder actor used during two-phase client registration.
-struct Noop;
-
-impl Actor<Ev> for Noop {
-    fn on_event(&mut self, _now: Time, _ev: Ev, _ctx: &mut Ctx<'_, Ev>) {}
 }

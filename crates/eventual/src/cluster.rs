@@ -228,7 +228,6 @@ impl Actor<EEv> for ENodeHost {
 }
 
 struct EClientHost {
-    proc: ProcId,
     nodes: usize,
     workload: EWorkload,
     net: Rc<RefCell<NetModel>>,
@@ -243,6 +242,7 @@ struct EClientHost {
 
 impl EClientHost {
     fn issue(&mut self, now: Time, ctx: &mut Ctx<'_, EEv>) {
+        let from = ctx.self_id();
         let req = self.next_req;
         self.next_req += 1;
         // Any node can coordinate: pick one at random (no leader!).
@@ -254,20 +254,14 @@ impl EClientHost {
         let (input, bytes) = match self.workload.clone() {
             EWorkload::Reads { keys, level } => {
                 let key = key_of(keys, ctx.rng().gen_range(0..keys));
-                (ENodeInput::Read { from: self.proc, req, key, level }, 80)
+                (ENodeInput::Read { from, req, key, level }, 80)
             }
             EWorkload::Writes { keys, level, .. } => {
                 let index = start.wrapping_add(self.write_index);
                 self.write_index += 1;
                 let key = key_of(keys, index);
                 (
-                    ENodeInput::Write {
-                        from: self.proc,
-                        req,
-                        key,
-                        value: self.value.clone(),
-                        level,
-                    },
+                    ENodeInput::Write { from, req, key, value: self.value.clone(), level },
                     80 + self.value.len(),
                 )
             }
@@ -278,7 +272,7 @@ impl EClientHost {
                     let key = key_of(keys, index);
                     (
                         ENodeInput::Write {
-                            from: self.proc,
+                            from,
                             req,
                             key,
                             value: self.value.clone(),
@@ -288,12 +282,12 @@ impl EClientHost {
                     )
                 } else {
                     let key = key_of(keys, ctx.rng().gen_range(0..keys));
-                    (ENodeInput::Read { from: self.proc, req, key, level: read_level }, 80)
+                    (ENodeInput::Read { from, req, key, level: read_level }, 80)
                 }
             }
         };
         self.outstanding = Some((req, now));
-        let at = self.net.borrow_mut().delivery_time(now, self.proc, coordinator, bytes, ctx.rng());
+        let at = self.net.borrow_mut().delivery_time(now, from, coordinator, bytes, ctx.rng());
         if let Some(at) = at {
             ctx.schedule_at(at, coordinator, EEv::Input(input));
         }
@@ -386,9 +380,7 @@ impl EventualCluster {
             }
             EWorkload::Reads { .. } => 0,
         };
-        let placeholder = self.sim.add_actor(Box::new(NoopE));
-        let client = Rc::new(RefCell::new(EClientHost {
-            proc: placeholder,
+        let client = EClientHost {
             nodes: self.cfg.nodes,
             workload,
             net: self.net.clone(),
@@ -399,9 +391,9 @@ impl EventualCluster {
             value: Bytes::from(vec![0xa5u8; value_size.max(1)]),
             write_index: 0,
             start_index: None,
-        }));
-        self.sim.replace_actor(placeholder, Box::new(RcActor(client)));
-        self.sim.schedule(start_at, placeholder, EEv::Client(EClientEv::Start));
+        };
+        let proc = self.sim.add_actor(Box::new(client));
+        self.sim.schedule(start_at, proc, EEv::Client(EClientEv::Start));
         stats
     }
 
@@ -419,10 +411,4 @@ impl EventualCluster {
     pub fn run_until(&mut self, t: Time) {
         self.sim.run_until(t);
     }
-}
-
-struct NoopE;
-
-impl Actor<EEv> for NoopE {
-    fn on_event(&mut self, _now: Time, _ev: EEv, _ctx: &mut Ctx<'_, EEv>) {}
 }

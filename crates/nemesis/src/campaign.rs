@@ -19,13 +19,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use spinnaker_common::{History, Key, NodeId};
-use spinnaker_core::client::ClientEv;
-use spinnaker_core::cluster::{ClusterConfig, Ev, SimCluster};
+use spinnaker_core::cluster::{ClusterConfig, SimCluster};
 use spinnaker_core::partition::{key_to_u64, u64_to_key};
 use spinnaker_sim::{DiskProfile, ProcId, Time, MILLIS, SECS};
 
 use crate::checker::{self, Violation};
-use crate::client::{ClientProgress, Idle, NemesisClient, Shared};
+use crate::client::{ClientProgress, NemesisClient};
 use crate::schedule::{generate, FaultEvent, FaultKind, Schedule};
 
 /// Campaign sizing, all derived from the seed (or pinned by tests).
@@ -162,28 +161,15 @@ pub fn run(seed: u64, cfg: &CampaignConfig, schedule: &Schedule) -> RunReport {
     history.meta("schedule_events", schedule.events.len());
     let history = Rc::new(RefCell::new(history));
 
-    // Register the client fleet (two-phase: reserve the proc id, then
-    // swap in the client that knows it).
     let mut progresses: Vec<Rc<RefCell<ClientProgress>>> = Vec::new();
     let mut client_procs: Vec<ProcId> = Vec::new();
     // Mean think time spreading each client's op budget across the
     // fault window (ops that race ahead of the faults test nothing).
     let think = (cfg.duration / cfg.ops_per_client.max(1)).max(MILLIS);
     for id in 0..cfg.clients {
-        let proc = cluster.sim.add_actor(Box::new(Idle));
-        let (client, progress) = NemesisClient::new(
-            proc,
-            id,
-            cluster.ring.clone(),
-            cluster.world.clone(),
-            history.clone(),
-            keys.clone(),
-            cfg.ops_per_client,
-            cfg.pipeline,
-            think,
-        );
-        cluster.sim.replace_actor(proc, Box::new(Shared(Rc::new(RefCell::new(client)))));
-        cluster.sim.schedule(t + u64::from(id) * 10 * MILLIS, proc, Ev::Client(ClientEv::Start));
+        let (client, progress) =
+            NemesisClient::new(id, history.clone(), keys.clone(), cfg.ops_per_client, think);
+        let proc = cluster.add_driver(client, cfg.pipeline, t + u64::from(id) * 10 * MILLIS);
         progresses.push(progress);
         client_procs.push(proc);
     }

@@ -1,9 +1,11 @@
 //! History-recording chaos clients.
 //!
-//! A [`NemesisClient`] drives a typed [`Session`] inside the simulated
-//! cluster, issuing a seeded mix of point writes, deletes, conditional
-//! ops, and reads/scans at every consistency level — while recording a
-//! complete invoke/retry/ok/fail history the checker can verify.
+//! A [`NemesisClient`] is the [`Driver`] of a core [`ClientHost`] — the
+//! same session client, transport and retry code the figures measure —
+//! issuing a seeded mix of point writes, deletes, conditional ops, and
+//! reads/scans at every consistency level, paced across the fault
+//! window, while recording a complete invoke/retry/ok/fail history the
+//! checker can verify.
 //!
 //! The one subtlety worth reading twice: **retry marking**. A call is
 //! marked [`HEventKind::Retry`] only when a *timeout* retransmits it —
@@ -12,9 +14,11 @@
 //! retransmits (leader redirects, range-table refreshes, backoff
 //! rotations after an explicit `Unavailable`) follow a definitive
 //! rejection of the attempt and are *not* duplicate risks.
+//!
+//! [`ClientHost`]: spinnaker_core::client::ClientHost
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -25,12 +29,10 @@ use spinnaker_common::{
     ClientError, Consistency, HCons, HErr, HEventKind, HOp, HResult, HState, History, Key,
     ReadCell, Value, Version,
 };
-use spinnaker_core::client::{ClientEv, RetryTimers};
-use spinnaker_core::cluster::{read_table, Ev, World};
-use spinnaker_core::messages::{ClientReply, ColumnSelect, NodeInput, RequestId};
-use spinnaker_core::partition::Ring;
-use spinnaker_core::session::{CallId, CallOutcome, Session, SessionCall, SessionStep};
-use spinnaker_sim::{Actor, Ctx, ProcId, Time, MILLIS, SECS};
+use spinnaker_core::client::{Driver, Resend};
+use spinnaker_core::messages::ColumnSelect;
+use spinnaker_core::session::{CallOutcome, SessionCall};
+use spinnaker_sim::Time;
 
 /// The single distinguished column of the register model.
 fn col() -> Bytes {
@@ -56,7 +58,7 @@ impl ClientProgress {
 }
 
 /// Per-call bookkeeping from submission to completion.
-struct PendingCall {
+pub struct PendingCall {
     /// Per-client op number (names the call in the history).
     op_no: u32,
     /// Key-universe index the call targets (point ops only).
@@ -67,15 +69,11 @@ struct PendingCall {
 
 /// A seeded mixed-workload client that records its complete op history.
 pub struct NemesisClient {
-    proc: ProcId,
     id: u32,
-    session: Session,
-    world: World,
     history: Rc<RefCell<History>>,
     progress: Rc<RefCell<ClientProgress>>,
     /// The shared key universe (small, so ops collide and races matter).
     keys: Rc<Vec<Key>>,
-    pipeline: usize,
     /// Mean think time between issuances; spreads the client's op
     /// budget across the fault window instead of burning it in the
     /// first quiet milliseconds.
@@ -83,13 +81,6 @@ pub struct NemesisClient {
     /// Monotone per-client sequence making every written value unique.
     seq: u64,
     next_op: u32,
-    timeout: Time,
-    calls: BTreeMap<CallId, PendingCall>,
-    /// Requests whose next Timeout event is a benign backoff rotation,
-    /// not a duplicate-risk timeout retransmit.
-    backoff: BTreeSet<RequestId>,
-    /// Retry and backoff timers of the outstanding requests.
-    timers: RetryTimers,
     /// Last known `(version, state)` per key index — the belief backing
     /// conditional-op preconditions. Cleared on `VersionMismatch`.
     beliefs: BTreeMap<usize, (Version, HState)>,
@@ -98,38 +89,24 @@ pub struct NemesisClient {
 }
 
 impl NemesisClient {
-    /// Build a client for `proc`; it starts on `Ev::Client(Start)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Build client `id`, issuing `target` calls about `think` apart.
     pub fn new(
-        proc: ProcId,
         id: u32,
-        ring: Ring,
-        world: World,
         history: Rc<RefCell<History>>,
         keys: Rc<Vec<Key>>,
         target: u64,
-        pipeline: usize,
         think: Time,
     ) -> (NemesisClient, Rc<RefCell<ClientProgress>>) {
         let progress =
             Rc::new(RefCell::new(ClientProgress { target, ..ClientProgress::default() }));
-        let pipeline = pipeline.max(1);
         let client = NemesisClient {
-            proc,
             id,
-            session: Session::new(ring, pipeline),
-            world,
             history,
             progress: progress.clone(),
             keys,
-            pipeline,
             think: think.max(1),
             seq: 0,
             next_op: 0,
-            timeout: SECS,
-            calls: BTreeMap::new(),
-            backoff: BTreeSet::new(),
-            timers: RetryTimers::default(),
             beliefs: BTreeMap::new(),
             at_pool: Vec::new(),
         };
@@ -160,16 +137,36 @@ impl NemesisClient {
         }
     }
 
+    /// Fold a read's cells into the register-model state.
+    fn state_of(cells: &[ReadCell]) -> HState {
+        match cells.first() {
+            None => HState::Never,
+            Some(ReadCell { value: None, .. }) => HState::Tomb,
+            Some(ReadCell { value: Some(v), .. }) => HState::Val(v.clone()),
+        }
+    }
+
+    /// Remember an observed commit/pin timestamp for snapshot-At reuse.
+    fn note_ts(&mut self, ts: u64) {
+        if ts > 0 {
+            self.at_pool.push(ts);
+            if self.at_pool.len() > 64 {
+                self.at_pool.remove(0);
+            }
+        }
+    }
+}
+
+impl Driver for NemesisClient {
+    type Call = PendingCall;
+
     /// Generate the next call of the mix, or `None` once the target
     /// count has been issued.
     fn next_call(&mut self, now: Time, rng: &mut SmallRng) -> Option<(SessionCall, PendingCall)> {
-        {
-            let mut p = self.progress.borrow_mut();
-            if p.issued >= p.target {
-                return None;
-            }
-            p.issued += 1;
+        if self.exhausted() {
+            return None;
         }
+        self.progress.borrow_mut().issued += 1;
         let op_no = self.next_op;
         self.next_op += 1;
         let nkeys = self.keys.len();
@@ -276,61 +273,13 @@ impl NemesisClient {
         Some((call, pend))
     }
 
-    /// Issue-tick: submit at most one call when the pipeline has room,
-    /// then re-arm the tick with jittered think time until the op
-    /// budget is spent. Pacing — not the round-trip time — is what
-    /// spreads the workload across the fault window.
-    fn tick(&mut self, now: Time, ctx: &mut Ctx<'_, Ev>) {
-        let (issued, target) = {
-            let p = self.progress.borrow();
-            (p.issued, p.target)
-        };
-        if issued >= target {
-            return;
-        }
-        if self.session.occupancy() < self.pipeline {
-            if let Some((call, pend)) = self.next_call(now, ctx.rng()) {
-                let id = self.session.submit(call);
-                self.calls.insert(id, pend);
-            }
-            for req in self.session.launch() {
-                self.transmit(now, req, ctx);
-            }
-        }
-        if self.progress.borrow().issued < target {
-            let delay = ctx.rng().gen_range(self.think / 2..=self.think + self.think / 2);
-            ctx.schedule(delay.max(1), self.proc, Ev::Client(ClientEv::Start));
-        }
-    }
-
-    /// Send (or re-send) the outstanding request `req`.
-    fn transmit(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        if let Some((to, wire)) = self.session.wire(req, ctx.rng()) {
-            let bytes = wire.wire_size();
-            let at =
-                self.world.net.borrow_mut().delivery_time(now, self.proc, to, bytes, ctx.rng());
-            if let Some(at) = at {
-                ctx.schedule_at(
-                    at,
-                    to,
-                    Ev::Input(NodeInput::Client { from: self.proc, req: wire }),
-                );
-            }
-        }
-        self.timers.arm(self.timeout, req, ctx);
-    }
-
-    /// Fold a read's cells into the register-model state.
-    fn state_of(cells: &[ReadCell]) -> HState {
-        match cells.first() {
-            None => HState::Never,
-            Some(ReadCell { value: None, .. }) => HState::Tomb,
-            Some(ReadCell { value: Some(v), .. }) => HState::Val(v.clone()),
-        }
-    }
-
-    fn complete(&mut self, now: Time, call: CallId, outcome: CallOutcome) {
-        let Some(pend) = self.calls.remove(&call) else { return };
+    fn done(
+        &mut self,
+        now: Time,
+        _started: Time,
+        pend: PendingCall,
+        outcome: CallOutcome,
+    ) -> Option<(SessionCall, PendingCall)> {
         let kind = match outcome {
             CallOutcome::Written { version, ts } => {
                 if let (Some(idx), Some(state)) = (pend.key_idx, pend.wrote.clone()) {
@@ -377,83 +326,27 @@ impl NemesisClient {
         };
         self.history.borrow_mut().push(now, self.id, pend.op_no, kind);
         self.progress.borrow_mut().completed += 1;
+        None
     }
 
-    /// Remember an observed commit/pin timestamp for snapshot-At reuse.
-    fn note_ts(&mut self, ts: u64) {
-        if ts > 0 {
-            self.at_pool.push(ts);
-            if self.at_pool.len() > 64 {
-                self.at_pool.remove(0);
-            }
+    fn resend(&mut self, now: Time, call: Option<&PendingCall>, why: Resend) {
+        // Only a true timeout is a duplicate risk: the lost attempt may
+        // have applied. One Retry line per retransmit — the checker
+        // budgets one potential duplicate apply for each. Redirects and
+        // backoff rotations follow a definitive rejection.
+        if let (Resend::Timeout, Some(pend)) = (why, call) {
+            self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
         }
     }
 
-    fn on_reply(&mut self, now: Time, reply: ClientReply, ctx: &mut Ctx<'_, Ev>) {
-        let world = self.world.clone();
-        let step = self.session.on_reply(reply, || read_table(&world));
-        match step {
-            SessionStep::None => {}
-            SessionStep::Retransmit { req, .. } => self.transmit(now, req, ctx),
-            SessionStep::Continue { req } => self.transmit(now, req, ctx),
-            SessionStep::Backoff { req } => {
-                // The attempt was *rejected* (`Unavailable`): rotating
-                // after the pause is not a duplicate risk, so remember
-                // to swallow the Retry marking when the timer fires.
-                self.backoff.insert(req);
-                self.timers.arm(20 * MILLIS, req, ctx);
-            }
-            SessionStep::Done { call, outcome } => self.complete(now, call, outcome),
-        }
+    /// Pacing — not the round-trip time — spreads the op budget across
+    /// the fault window.
+    fn think(&self) -> Option<Time> {
+        Some(self.think)
     }
 
-    fn on_timeout(&mut self, now: Time, req: RequestId, ctx: &mut Ctx<'_, Ev>) {
-        let benign = self.backoff.remove(&req);
-        let call = self.session.call_of(req);
-        if let Some(next) = self.session.on_timeout(req) {
-            if !benign {
-                // A true timeout: the lost attempt may have applied.
-                // One Retry line per retransmit — the checker budgets
-                // one potential duplicate apply for each.
-                if let Some(pend) = call.and_then(|c| self.calls.get(&c)) {
-                    self.history.borrow_mut().push(now, self.id, pend.op_no, HEventKind::Retry);
-                }
-            }
-            self.transmit(now, next, ctx);
-        }
-    }
-}
-
-impl Actor<Ev> for NemesisClient {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        if let Ev::Client(cev) = ev {
-            match cev {
-                ClientEv::Start => self.tick(now, ctx),
-                ClientEv::Reply(reply) => self.on_reply(now, reply, ctx),
-                ClientEv::Timeout(req) => self.on_timeout(now, req, ctx),
-            }
-            // A retired id's backoff timer is cancelled with its marker.
-            let backoff = &mut self.backoff;
-            self.timers.cancel_retired(&self.session, ctx, |req| {
-                backoff.remove(&req);
-            });
-        }
-    }
-}
-
-/// Placeholder actor for two-phase client registration (reserve the
-/// proc id, then swap the real client in).
-pub struct Idle;
-
-impl Actor<Ev> for Idle {
-    fn on_event(&mut self, _now: Time, _ev: Ev, _ctx: &mut Ctx<'_, Ev>) {}
-}
-
-/// Adapter hosting a shared client handle as a sim actor.
-pub struct Shared<A>(pub Rc<RefCell<A>>);
-
-impl<A: Actor<Ev>> Actor<Ev> for Shared<A> {
-    fn on_event(&mut self, now: Time, ev: Ev, ctx: &mut Ctx<'_, Ev>) {
-        self.0.borrow_mut().on_event(now, ev, ctx);
+    fn exhausted(&self) -> bool {
+        let p = self.progress.borrow();
+        p.issued >= p.target
     }
 }
