@@ -206,8 +206,8 @@ pub enum PeerMsg {
     /// Leader → followers: the range was split at `split_key` with every
     /// write up to `barrier` committed. The new range table is already in
     /// the coordination service; receivers apply their commit queue up to
-    /// the barrier, fork their store at the split key, and join the two
-    /// child cohorts.
+    /// the barrier, rebuild the parent into the children that table
+    /// holds, and join the child cohorts.
     Split {
         /// The parent cohort being dissolved.
         range: RangeId,

@@ -11,10 +11,10 @@
 //! operations that create and dissolve replicas:
 //!
 //! * **range split** — barrier at a drained commit queue, CAS the table,
-//!   fork the store, attach the children, detach the parent;
+//!   detach the parent and rebuild it into the children;
 //! * **range merge** — barrier *both* siblings (the left leader
 //!   coordinates, the right leader drains on request), CAS a merged
-//!   `RangeDef`, merge the stores, attach the merged range, detach both;
+//!   `RangeDef`, detach both and rebuild them into the merged range;
 //! * **cohort movement** — CAS a `moving` marker, stream a snapshot plus
 //!   the WAL tail to the joining node, wait for its durable catch-up
 //!   ack, CAS the new replica set, detach the departing replica;
@@ -278,54 +278,51 @@ impl Node {
         vfs: SharedVfs,
         coord: CoordClient,
     ) -> Result<Node> {
-        let mut wal = Wal::open(vfs.clone(), WalOptions::default())?;
+        let wal = Wal::open(vfs.clone(), WalOptions::default())?;
         let cache = (cfg.block_cache_bytes > 0)
             .then(|| std::sync::Arc::new(BlockCache::new(cfg.block_cache_bytes)));
         let mut replicas = BTreeMap::new();
+        let mut gone_parents = std::collections::BTreeSet::new();
         for range in ring.ranges_of(id) {
-            let mut store =
-                RangeStore::open(vfs.clone(), store_options(range, &cfg, cache.as_ref()))?;
-            let st = wal.state(range);
-            let mut last_committed = st.last_committed;
-            // A child range with no local state at all: this node crashed
-            // between the split's metadata update and its local store
-            // fork (or missed the split entirely). Rebuild the child from
-            // the parent's surviving local state where possible;
-            // otherwise the child starts empty and catch-up fills it in.
+            let store = RangeStore::open(vfs.clone(), store_options(range, &cfg, cache.as_ref()))?;
+            // A split child with no local state at all: this node crashed
+            // between the split's table update and its local rebuild, or
+            // slept through the split. Load the gone parent's surviving
+            // state instead; `on_start` rebuilds the child from it.
             let fresh = wal.checkpoint(range).is_zero()
-                && st.last_lsn.is_zero()
+                && wal.state(range).last_lsn.is_zero()
                 && store.table_count() == 0
                 && store.memtable_len() == 0;
-            if fresh {
-                if let Some(def) = ring.def(range).filter(|d| d.parent.is_some()) {
-                    if let Some(parent_cmt) =
-                        bootstrap_child_from_parent(&vfs, &wal, &cfg, def, &mut store)?
-                    {
-                        let _ = wal.set_checkpoint(range, parent_cmt);
-                        last_committed = parent_cmt;
-                    }
-                }
+            let parent = ring.def(range).and_then(|d| d.parent).filter(|&p| {
+                ring.def(p).is_none()
+                    && (!wal.state(p).last_lsn.is_zero()
+                        || vfs.exists(&format!("store-r{}/MANIFEST", p.0)).unwrap_or(false))
+            });
+            if let (true, Some(p)) = (fresh, parent) {
+                gone_parents.insert(p);
+                continue;
             }
-            let span = ring
-                .def(range)
-                .map(|d| (d.start.clone(), d.end.clone()))
-                .unwrap_or((Key::default(), None));
+            let def = ring.def(range);
+            let span = def.map_or((Key::default(), None), |d| (d.start.clone(), d.end.clone()));
             let peers = ring.cohort(range).into_iter().filter(|&n| n != id).collect();
-            let mut rep = RangeReplica::new(range, store, peers, span);
-            // Idempotent replay of committed records (checkpoint, f.cmt].
-            wal.replay(range, wal.checkpoint(range), st.last_committed, |lsn, op| {
-                rep.store.apply(op, lsn);
-            })?;
-            rep.last_committed = last_committed;
-            rep.last_note = last_committed;
-            rep.epoch = st.last_lsn.epoch();
-            replicas.insert(range, rep);
+            replicas.insert(range, recover_replica(&wal, range, store, peers, span)?);
+        }
+        for p in gone_parents {
+            // The parent's def is gone; its children still tile its span
+            // unless one was split again, which only narrows what the
+            // parent is trusted to rebuild.
+            let children = ring.children_of(p);
+            let span = match (children.first(), children.last()) {
+                (Some(l), Some(r)) => (l.start.clone(), r.end.clone()),
+                _ => continue,
+            };
+            let store = RangeStore::open(vfs.clone(), store_options(p, &cfg, cache.as_ref()))?;
+            replicas.insert(p, recover_replica(&wal, p, store, Vec::new(), span)?);
         }
         // Leftovers from dissolutions interrupted by a restart: the
         // in-memory GC bookkeeping does not survive a crash, so any
         // store directory for a range this node no longer serves
-        // re-enters the quiesced GC pipeline here. (Parent stores a
-        // split child just bootstrapped from are done being read.)
+        // re-enters the quiesced GC pipeline here.
         let mut dissolved = Vec::new();
         if let Ok(files) = vfs.list("store-r") {
             let mut seen = std::collections::BTreeSet::new();
@@ -528,7 +525,7 @@ impl Node {
             // (its leader znode, if any, is a leftover): reconcile it
             // against the table instead.
             ServeStatus::Gone => {
-                self.reconcile_gone_ranges(now, vec![range], out);
+                self.reconcile_gone(now, vec![range], out);
                 return;
             }
             // Not ours (any more): a departed replica's leftovers.
@@ -574,7 +571,7 @@ impl Node {
     /// move targets wait for the members to elect among themselves.
     fn try_start_election(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         match self.serve_status(range) {
-            ServeStatus::Gone => self.reconcile_gone_ranges(now, vec![range], out),
+            ServeStatus::Gone => self.reconcile_gone(now, vec![range], out),
             ServeStatus::NotMember => self.retire_replica(now, range, false, out),
             ServeStatus::MoveTarget => {
                 // Learners never stand for election — they hold data they
@@ -650,12 +647,8 @@ impl Node {
         // Lifecycle messages attach, detach, or span multiple replicas;
         // the node handles them with their own guards.
         match msg {
-            PeerMsg::Split { range, epoch, split_key, left, right, barrier } => {
-                if self.replicas.contains_key(&range) {
-                    self.on_split_msg(
-                        now, range, from, epoch, split_key, left, right, barrier, out,
-                    );
-                }
+            PeerMsg::Split { range, epoch, barrier, .. } => {
+                self.on_split_msg(now, range, from, epoch, barrier, out);
                 return;
             }
             PeerMsg::JoinRange { range, epoch, at, snapshot } => {
@@ -678,13 +671,12 @@ impl Node {
                 self.on_merge_abort(now, range, out);
                 return;
             }
-            PeerMsg::Merge { range, right, merged, epoch, right_epoch, barrier, right_barrier } => {
+            PeerMsg::Merge { range, right, epoch, right_epoch, barrier, right_barrier, .. } => {
                 self.on_merge_msg(
                     now,
                     from,
                     range,
                     right,
-                    merged,
                     epoch,
                     right_epoch,
                     barrier,
@@ -1044,15 +1036,21 @@ impl Node {
         }
     }
 
-    /// Detach `range`'s replica: answer its buffered writes with
-    /// `WrongRange` (the client refreshes and re-routes), drop its
-    /// candidate znode, and queue its local state for quiesced GC.
-    fn retire_replica(&mut self, now: u64, range: RangeId, gc_znodes: bool, out: &mut Outbox) {
-        let Some(rep) = self.replicas.remove(&range) else { return };
-        for (from, req) in rep.blocked_writes {
-            let version = self.ring.version();
+    /// Detach `range`'s replica, answering its buffered writes with
+    /// `WrongRange` (the client refreshes and re-routes).
+    fn detach(&mut self, range: RangeId, out: &mut Outbox) -> Option<RangeReplica> {
+        let mut rep = self.replicas.remove(&range)?;
+        let version = self.ring.version();
+        for (from, req) in std::mem::take(&mut rep.blocked_writes) {
             out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
         }
+        Some(rep)
+    }
+
+    /// Detach `range`'s replica, drop its candidate znode, and queue its
+    /// local state for quiesced GC.
+    fn retire_replica(&mut self, now: u64, range: RangeId, gc_znodes: bool, out: &mut Outbox) {
+        let Some(rep) = self.detach(range, out) else { return };
         if let Some(path) = rep.candidate_path {
             let _ = self.coord.delete(&path);
         }
@@ -1123,11 +1121,10 @@ impl Node {
     /// The barrier has drained: perform the split. The authoritative
     /// range table in the coordination service is updated first
     /// (conditional on its version, so a racing update aborts us
-    /// cleanly); only then is the local store forked and the replica
-    /// dissolved into the two children. The left child keeps this leader
-    /// under a bumped epoch; the right child runs a fresh election whose
-    /// tie-break prefers the *next* cohort member, moving half the hot
-    /// range's load to another node.
+    /// cleanly); only then is the replica rebuilt into the two children.
+    /// The left child keeps this leader under a bumped epoch; the right
+    /// child runs a fresh election whose tie-break prefers the *next*
+    /// cohort member, moving half the hot range's load to another node.
     fn execute_split(&mut self, now: u64, range: RangeId, out: &mut Outbox) {
         let Some(at) = self.replicas.get_mut(&range).and_then(|r| r.splitting.take()) else {
             return;
@@ -1150,9 +1147,10 @@ impl Node {
             return;
         }
         let (left, right) = children.expect("cas succeeded");
-        let rep = self.replicas.remove(&range).expect("own range");
-        let barrier = rep.last_committed;
-        let pe = rep.epoch;
+        let mut rep = self.replicas.remove(&range).expect("own range");
+        let blocked = std::mem::take(&mut rep.blocked_writes);
+        let (barrier, pe, last_ts, served_ts) =
+            (rep.last_committed, rep.epoch, rep.last_ts, rep.served_ts);
         let peers = rep.peers.clone();
 
         // Children's election state: the left child inherits this leader
@@ -1171,113 +1169,88 @@ impl Node {
         // The parent's leader znode is deliberately left standing:
         // deleting it would fire the followers' leader-watches *before*
         // the Split message works through their (FIFO) request queues,
-        // pushing them onto the conservative fork path for no reason.
-        // The quiesced GC removes the whole `/r{N}` subtree later.
+        // pushing them onto the table-driven rebuild for no reason. The
+        // quiesced GC removes the whole `/r{N}` subtree later.
 
-        let (lstore, rstore) = self.fork_store(range, &rep.store, &at, left, right, barrier);
-
-        let mut lc =
-            RangeReplica::new(left, lstore, peers.clone(), (rep.span.0.clone(), Some(at.clone())));
-        lc.role = Role::Leader;
-        lc.epoch = pe + 1;
-        lc.leader = Some(self.id);
-        lc.last_assigned = Lsn::new(pe + 1, barrier.seq());
-        lc.last_committed = barrier;
-        lc.last_note = barrier;
-        // The children inherit the parent's commit-timestamp clock so
-        // their future stamps stay above everything the parent assigned
-        // (ts-order == LSN-order survives the split).
-        lc.last_ts = rep.last_ts;
-        lc.served_ts = rep.served_ts;
-        self.attach_replica(lc);
-
-        let mut rc =
-            RangeReplica::new(right, rstore, peers.clone(), (at.clone(), rep.span.1.clone()));
-        rc.epoch = pe;
-        rc.last_committed = barrier;
-        rc.last_note = barrier;
-        rc.last_ts = rep.last_ts;
-        rc.served_ts = rep.served_ts;
-        self.attach_replica(rc);
-
+        // The children claim the barrier and inherit the parent's
+        // commit-timestamp clock, so their future stamps stay above
+        // everything the parent assigned (ts-order == LSN-order survives
+        // the split).
+        self.rebuild(now, vec![(rep, true)]);
+        if let Some(lc) = self.replicas.get_mut(&left) {
+            lc.role = Role::Leader;
+            lc.epoch = pe + 1;
+            lc.leader = Some(self.id);
+            lc.last_assigned = Lsn::new(pe + 1, barrier.seq());
+        }
+        for child in [left, right] {
+            if let Some(c) = self.replicas.get_mut(&child) {
+                c.last_ts = last_ts;
+                c.served_ts = served_ts;
+            }
+        }
         for peer in peers {
             out.send(
                 peer,
                 PeerMsg::Split { range, epoch: pe, split_key: at.clone(), left, right, barrier },
             );
         }
-        self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-        {
-            // Enter the right child's election as an observer so the
-            // followers — who tie with us at the barrier — decide among
-            // themselves and the home preference moves leadership to the
-            // next cohort member.
-            let rp = CohortPaths::new(right);
-            self.coord.ensure_path(&rp.base);
-            self.coord.ensure_path(&rp.candidates);
-            let mut rt = runtime!(self, now);
-            if let Some(rc) = self.replicas.get_mut(&right) {
-                rc.observe_election(&mut rt, out);
-            }
+        // Enter the right child's election as an observer so the
+        // followers — who tie with us at the barrier — decide among
+        // themselves and the home preference moves leadership to the
+        // next cohort member.
+        let mut rt = runtime!(self, now);
+        if let Some(rc) = self.replicas.get_mut(&right) {
+            rc.observe_election(&mut rt, out);
         }
         // Buffered writes re-dispatch under the new table; clients that
         // routed with the old one get `WrongRange` and refresh.
-        for (from, req) in rep.blocked_writes {
+        for (from, req) in blocked {
             self.on_client(now, from, req, out);
         }
     }
 
     /// Follower side of a split: the leader's table update is already in
-    /// the coordination service. Apply the commit queue up to the barrier
-    /// (the in-order link guarantees every propose `<= barrier` preceded
-    /// this message when we are a same-epoch follower), fork the store,
-    /// and join both child cohorts.
-    #[allow(clippy::too_many_arguments)]
+    /// the coordination service. A same-epoch follower applies its
+    /// commit queue through the barrier first (the in-order link
+    /// guarantees every propose `<= barrier` preceded this message);
+    /// then the parent is rebuilt into the children the table now holds.
     fn on_split_msg(
         &mut self,
         now: u64,
         range: RangeId,
         from: NodeId,
         epoch: spinnaker_common::Epoch,
-        split_key: Key,
-        left: RangeId,
-        right: RangeId,
         barrier: Lsn,
         out: &mut Outbox,
     ) {
-        {
-            let rep = self.replicas.get_mut(&range).expect("checked");
-            if epoch < rep.epoch {
-                return; // a deposed leader's split; the table CAS stopped it too
-            }
-            if epoch == rep.epoch
-                && matches!(rep.role, Role::Leader | Role::LeaderTakeover)
-                && from != self.id
-            {
-                return; // two leaders in one epoch cannot happen; drop
-            }
+        let mut rt = runtime!(self, now);
+        let Some(rep) = self.replicas.get_mut(&range) else { return };
+        if epoch < rep.epoch {
+            return; // a deposed leader's split; the table CAS stopped it too
         }
-        let full_prefix = {
-            let rep = &self.replicas[&range];
-            rep.role == Role::Follower && rep.epoch == epoch
-        };
-        if full_prefix {
-            let mut rt = runtime!(self, now);
-            if let Some(rep) = self.replicas.get_mut(&range) {
-                rep.apply_commit(&mut rt, barrier);
-            }
+        if epoch == rep.epoch
+            && matches!(rep.role, Role::Leader | Role::LeaderTakeover)
+            && from != self.id
+        {
+            return; // two leaders in one epoch cannot happen; drop
+        }
+        if rep.role == Role::Follower && rep.epoch == epoch {
+            rep.apply_commit(&mut rt, barrier);
         }
         self.adopt_table_from_coord();
-        let rep = self.replicas.remove(&range).expect("checked");
-        // A catching-up replica may hold a queue with holes; fork at its
-        // own committed watermark and let child catch-up fill the rest.
-        let watermark = rep.last_committed.min(barrier);
-        let (lstore, rstore) =
-            self.fork_store(range, &rep.store, &split_key, left, right, watermark);
-        self.install_children(rep, &split_key, left, lstore, right, rstore, watermark, epoch, out);
-        self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-        self.join_cohort(now, left, out);
-        self.join_cohort(now, right, out);
+        if self.serve_status(range) != ServeStatus::Gone {
+            return; // table unreadable: the watch reconciles later
+        }
+        let Some(mut rep) = self.detach(range, out) else { return };
+        // A catching-up replica may hold a queue with holes: it claims
+        // only its own committed watermark, and child catch-up fills the
+        // rest.
+        rep.last_committed = rep.last_committed.min(barrier);
+        rep.epoch = epoch;
+        for child in self.rebuild(now, vec![(rep, false)]) {
+            self.join_cohort(now, child, out);
+        }
     }
 
     /// Watch-driven table refresh. When a range this node serves
@@ -1330,47 +1303,54 @@ impl Node {
             })
             .collect();
         if !gone.is_empty() {
-            self.reconcile_gone_ranges(now, gone, out);
+            self.reconcile_gone(now, gone, out);
         }
     }
 
-    /// Conservative, table-driven reconciliation of ranges that vanished
-    /// from the table while this replica lagged (crashed leader mid
-    /// fan-out, slept-through splits/merges, chained either way). The
-    /// targets are all current ranges that name us a replica and
-    /// intersect a gone replica's recorded span:
-    ///
-    /// * a target **contained** in a single gone span is the split case:
-    ///   rebuild it at that replica's committed watermark (the watermark
-    ///   vouches for the whole target);
-    /// * any other intersection (merges, mixed chains) rebuilds from all
-    ///   intersecting spans at watermark **zero** — under-claiming, so an
-    ///   election can never pick a leader missing committed writes —
-    ///   and catch-up fills the gaps.
-    ///
-    /// Either way the gone streams' **tails** (records beyond the
-    /// watermark that we may already have acked toward a quorum) are
-    /// migrated into the target streams so their durability — and their
-    /// visibility to elections via `n.lst` — survives the handoff.
-    fn reconcile_gone_ranges(&mut self, now: u64, gone: Vec<RangeId>, out: &mut Outbox) {
-        let mut parents: Vec<RangeReplica> = Vec::new();
+    /// Table-driven rebuild of held ranges the table no longer contains
+    /// (a crashed leader mid fan-out, slept-through splits and merges,
+    /// chained either way): detach them, drop their candidacies, rebuild
+    /// whatever current ranges they cover, and join those cohorts.
+    fn reconcile_gone(&mut self, now: u64, gone: Vec<RangeId>, out: &mut Outbox) {
+        let mut parents = Vec::new();
         for range in gone {
-            if let Some(rep) = self.replicas.remove(&range) {
-                for (from, req) in &rep.blocked_writes {
-                    let version = self.ring.version();
-                    out.reply(
-                        *from,
-                        ClientReply::err(req.req, ClientError::WrongRange { version }),
-                    );
-                }
+            if let Some(rep) = self.detach(range, out) {
                 if let Some(path) = &rep.candidate_path {
                     let _ = self.coord.delete(path);
                 }
-                parents.push(rep);
+                parents.push((rep, false));
             }
         }
+        for range in self.rebuild(now, parents) {
+            self.join_cohort(now, range, out);
+        }
+    }
+
+    /// The one range-rebuild path, shared by splits, merges and the
+    /// table-driven reconcile. `parents` are detached replicas being
+    /// dissolved, each paired with whether it drained its commit queue
+    /// gap-free through the barrier it was told about. Every current
+    /// range that names this node, is not attached, and intersects a
+    /// parent's span is rebuilt:
+    ///
+    /// * its store is assembled from the intersecting parents' slices;
+    /// * it **claims** a committed watermark by one rule: a single parent
+    ///   containing it lends its committed LSN (which vouches for every
+    ///   key of the parent); parents that all drained gap-free lend their
+    ///   merged barrier base (`max epoch + 1`, `max seq`, so every later
+    ///   LSN exceeds both); anything else claims zero — under-claiming,
+    ///   so an election never picks a leader missing committed writes,
+    ///   and catch-up fills the gaps.
+    ///
+    /// Each parent's log **tail** — records beyond its watermark that it
+    /// may already have acked toward a quorum — is then copied into the
+    /// rebuilt streams by key, so its durability and its visibility to
+    /// elections (via `n.lst`) survive the handoff. A parent stream is
+    /// retired only when its whole tail found a home; otherwise it stays
+    /// replayable. Returns the rebuilt ranges in table order.
+    fn rebuild(&mut self, now: u64, parents: Vec<(RangeReplica, bool)>) -> Vec<RangeId> {
         if parents.is_empty() {
-            return;
+            return Vec::new();
         }
         let targets: Vec<RangeDef> = self
             .ring
@@ -1378,54 +1358,48 @@ impl Node {
             .filter(|d| {
                 d.cohort.contains(&self.id)
                     && !self.replicas.contains_key(&d.id)
-                    && parents.iter().any(|p| spans_intersect(&p.span, d))
+                    && parents.iter().any(|(p, _)| spans_intersect(&p.span, d))
             })
             .cloned()
             .collect();
         let mut built = Vec::new();
         for def in &targets {
-            let contributors: Vec<&RangeReplica> =
-                parents.iter().filter(|p| spans_intersect(&p.span, def)).collect();
-            let contained = contributors.len() == 1 && span_contains(&contributors[0].span, def);
-            let Ok(mut store) = RangeStore::recreate(
-                self.vfs.clone(),
-                store_options(def.id, &self.cfg, self.cache.as_ref()),
-            ) else {
+            let contributors: Vec<&(RangeReplica, bool)> =
+                parents.iter().filter(|(p, _)| spans_intersect(&p.span, def)).collect();
+            let slices: Vec<(&RangeStore, Key, Option<Key>)> = contributors
+                .iter()
+                .map(|(p, _)| {
+                    let (lo, hi) = span_clip(&p.span, def);
+                    (&p.store, lo, hi)
+                })
+                .collect();
+            let opts = store_options(def.id, &self.cfg, self.cache.as_ref());
+            let Ok(mut store) = RangeStore::assemble(self.vfs.clone(), opts, &slices) else {
                 continue;
             };
-            for p in &contributors {
-                let (lo, hi) = span_clip(&p.span, def);
-                if let Ok(rows) = p.store.scan(&lo, hi.as_ref()) {
-                    for (key, row) in rows {
-                        store.ingest_fragment(&key, &row);
-                    }
-                }
-                // The contributors' rows were pruned at their floors;
-                // the rebuilt store must not serve snapshots below them.
-                store.set_gc_floor(p.store.gc_floor());
-            }
             let _ = store.flush();
-            let watermark = if contained { contributors[0].last_committed } else { Lsn::ZERO };
-            if !watermark.is_zero() {
-                let _ = self.wal.set_checkpoint(def.id, watermark);
+            let epoch = contributors.iter().map(|(p, _)| p.epoch).max().unwrap_or(0);
+            let claim = match contributors.as_slice() {
+                [(p, _)] if span_contains(&p.span, def) => p.last_committed,
+                c if c.iter().all(|(_, gap_free)| *gap_free) => {
+                    let seq = c.iter().map(|(p, _)| p.last_committed.seq()).max().unwrap_or(0);
+                    Lsn::new(epoch + 1, seq)
+                }
+                _ => Lsn::ZERO,
+            };
+            if !claim.is_zero() {
+                let _ = self.wal.set_checkpoint(def.id, claim);
             }
-            let epoch = contributors.iter().map(|p| p.epoch).max().unwrap_or(0);
-            let mut rep = RangeReplica::new(
-                def.id,
-                store,
-                def.cohort.iter().copied().filter(|&n| n != self.id).collect(),
-                (def.start.clone(), def.end.clone()),
-            );
-            rep.epoch = epoch;
-            rep.last_committed = watermark;
-            rep.last_note = watermark;
+            let peers = def.cohort.iter().copied().filter(|&n| n != self.id).collect();
+            let mut rep =
+                RangeReplica::new(def.id, store, peers, (def.start.clone(), def.end.clone()));
+            rep.epoch = epoch.max(claim.epoch());
+            rep.last_committed = claim;
+            rep.last_note = claim;
             self.attach_replica(rep);
             built.push(def.id);
         }
-        // Migrate each gone stream's tail — acked records must keep their
-        // durable home and stay visible to elections. Only retire a
-        // parent stream once every tail record found a target stream.
-        for p in &parents {
+        for (p, _) in &parents {
             let watermark = p.last_committed;
             let tail = self
                 .wal
@@ -1433,113 +1407,18 @@ impl Node {
                 .unwrap_or_default();
             let mut migrated = true;
             for (lsn, op) in tail {
-                let target = targets
-                    .iter()
-                    .find(|d| built.contains(&d.id) && key_in_def(&op.key, d))
-                    .map(|d| d.id);
-                match target {
-                    Some(t) => {
-                        if self.wal.append(&LogRecord::write(t, lsn, op)).is_err() {
-                            migrated = false;
-                        }
-                    }
-                    None => migrated = false,
-                }
+                let home = targets.iter().find(|d| built.contains(&d.id) && key_in_def(&op.key, d));
+                migrated &=
+                    home.is_some_and(|d| self.wal.append(&LogRecord::write(d.id, lsn, op)).is_ok());
             }
             if migrated {
                 let _ = self.wal.set_checkpoint(p.range, watermark);
                 self.dissolved.push(Dissolved { range: p.range, at: now, gc_znodes: true });
             }
         }
-        self.sync_wal();
-        for range in built {
-            self.join_cohort(now, range, out);
-        }
-    }
-
-    /// Fork `store` at `at` into the two children, persist both halves,
-    /// and advance the WAL checkpoints: the children's logical LSN
-    /// streams begin just above `watermark`, and the parent's stream
-    /// below it becomes garbage-collectable.
-    ///
-    /// The parent's log *tail* — records beyond the watermark that this
-    /// replica holds and may already have **acked** toward a quorum — is
-    /// migrated into the child streams, keyed by side. Without this, a
-    /// replica forking at a lagging watermark (the conservative path)
-    /// would advertise a log position below writes it vouched for, and a
-    /// child election could pick a leader missing committed writes.
-    fn fork_store(
-        &mut self,
-        parent: RangeId,
-        store: &RangeStore,
-        at: &Key,
-        left: RangeId,
-        right: RangeId,
-        watermark: Lsn,
-    ) -> (RangeStore, RangeStore) {
-        let (mut ls, mut rs) = store
-            .split(
-                at,
-                store_options(left, &self.cfg, self.cache.as_ref()),
-                store_options(right, &self.cfg, self.cache.as_ref()),
-            )
-            .expect("store fork");
-        let _ = ls.flush();
-        let _ = rs.flush();
-        let _ = self.wal.set_checkpoint(left, watermark);
-        let _ = self.wal.set_checkpoint(right, watermark);
-        let tail = self
-            .wal
-            .read_range(parent, watermark, self.wal.state(parent).last_lsn)
-            .unwrap_or_default();
-        let mut migrated = true;
-        for (lsn, op) in tail {
-            let child = if op.key.as_bytes() < at.as_bytes() { left } else { right };
-            if self.wal.append(&LogRecord::write(child, lsn, op)).is_err() {
-                migrated = false;
-            }
-        }
-        // Retire the parent stream only if every tail record found a home
-        // in a child stream; otherwise the parent copy stays replayable.
-        if migrated {
-            let _ = self.wal.set_checkpoint(parent, watermark);
-        }
         // The tail copies must be as durable as the acked originals.
         self.sync_wal();
-        (ls, rs)
-    }
-
-    /// Register the two child replicas of a dissolved parent (split at
-    /// `at`) and redirect anything the parent still buffered.
-    #[allow(clippy::too_many_arguments)]
-    fn install_children(
-        &mut self,
-        parent: RangeReplica,
-        at: &Key,
-        left: RangeId,
-        lstore: RangeStore,
-        right: RangeId,
-        rstore: RangeStore,
-        watermark: Lsn,
-        epoch: spinnaker_common::Epoch,
-        out: &mut Outbox,
-    ) {
-        let lspan = (parent.span.0.clone(), Some(at.clone()));
-        let rspan = (at.clone(), parent.span.1.clone());
-        for (range, store, span) in [(left, lstore, lspan), (right, rstore, rspan)] {
-            let peers =
-                self.ring.cohort(range).into_iter().filter(|&n| n != self.id).collect::<Vec<_>>();
-            let peers = if peers.is_empty() { parent.peers.clone() } else { peers };
-            let mut rep = RangeReplica::new(range, store, peers, span);
-            rep.epoch = epoch;
-            rep.last_committed = watermark;
-            rep.last_note = watermark;
-            self.attach_replica(rep);
-        }
-        for (from, req) in parent.blocked_writes {
-            let version = self.ring.version();
-            out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
-        }
+        built
     }
 
     /// Pull the freshest table from the coordination service (used when
@@ -1990,12 +1869,17 @@ impl Node {
             return;
         }
         let merged = merged_id.expect("cas succeeded");
-        let lrep = self.replicas.remove(&left).expect("coordinator owns left");
-        let rrep = self.replicas.remove(&right).expect("same cohort owns right");
+        let mut lrep = self.replicas.remove(&left).expect("coordinator owns left");
+        let mut rrep = self.replicas.remove(&right).expect("same cohort owns right");
+        let blocked: Vec<_> = std::mem::take(&mut lrep.blocked_writes)
+            .into_iter()
+            .chain(std::mem::take(&mut rrep.blocked_writes))
+            .collect();
         let barrier = lrep.last_committed;
         let (le, re) = (lrep.epoch, rrep.epoch);
-        let merged_epoch = le.max(re) + 1;
-        let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
+        let last_ts = lrep.last_ts.max(rrep.last_ts);
+        let served_ts = lrep.served_ts.max(rrep.served_ts);
+        let peers = lrep.peers.clone();
 
         // Election state of the merged range: this leader continues at
         // `max(epochs) + 1`, so every merged-range LSN exceeds every LSN
@@ -2003,42 +1887,25 @@ impl Node {
         let mp = CohortPaths::new(merged);
         self.coord.ensure_path(&mp.base);
         self.coord.ensure_path(&mp.candidates);
-        self.coord.write_epoch(&mp.epoch, merged_epoch);
+        self.coord.write_epoch(&mp.epoch, le.max(re) + 1);
         let _ = self.coord.create_ephemeral(&mp.leader, self.id.to_string().into_bytes());
         // Both siblings' leader znodes stay standing until GC, exactly
         // like a split parent's (watch-ordering: peers must process the
         // Merge message first).
 
-        let mut mstore = RangeStore::merge(
-            &lrep.store,
-            &rrep.store,
-            store_options(merged, &self.cfg, self.cache.as_ref()),
-        )
-        .expect("store merge");
-        let _ = mstore.flush();
-        let _ = self.wal.set_checkpoint(left, barrier);
-        let _ = self.wal.set_checkpoint(right, right_barrier);
-        let _ = self.wal.set_checkpoint(merged, base);
-        self.sync_wal();
-
-        let peers = lrep.peers.clone();
-        let mut mrep = RangeReplica::new(
-            merged,
-            mstore,
-            peers.clone(),
-            (lrep.span.0.clone(), rrep.span.1.clone()),
-        );
-        mrep.role = Role::Leader;
-        mrep.epoch = merged_epoch;
-        mrep.leader = Some(self.id);
-        mrep.last_assigned = base;
-        mrep.last_committed = base;
-        mrep.last_note = base;
-        // Continue the merged clock above both siblings' stamps.
-        mrep.last_ts = lrep.last_ts.max(rrep.last_ts);
-        mrep.served_ts = lrep.served_ts.max(rrep.served_ts);
-        self.attach_replica(mrep);
-
+        // Both siblings drained gap-free: the merged range claims their
+        // barrier base and continues the merged clock above both
+        // siblings' stamps. The right side is claimed at the barrier its
+        // leader announced, the one the cohort drains to.
+        rrep.last_committed = right_barrier;
+        self.rebuild(now, vec![(lrep, true), (rrep, true)]);
+        if let Some(m) = self.replicas.get_mut(&merged) {
+            m.role = Role::Leader;
+            m.leader = Some(self.id);
+            m.last_assigned = m.last_committed;
+            m.last_ts = last_ts;
+            m.served_ts = served_ts;
+        }
         for peer in peers {
             out.send(
                 peer,
@@ -2053,9 +1920,7 @@ impl Node {
                 },
             );
         }
-        self.dissolved.push(Dissolved { range: left, at: now, gc_znodes: true });
-        self.dissolved.push(Dissolved { range: right, at: now, gc_znodes: true });
-        for (from, req) in lrep.blocked_writes.into_iter().chain(rrep.blocked_writes) {
+        for (from, req) in blocked {
             self.on_client(now, from, req, out);
         }
     }
@@ -2099,11 +1964,11 @@ impl Node {
     }
 
     /// Follower side of a merge: both barriers are committed history.
-    /// Drain both queues through their barriers; a gap-free drain keeps
-    /// the merged stream's full watermark, anything else under-claims
-    /// (watermark zero, WAL tails migrated) and lets catch-up fill the
-    /// gaps — an election must never see a watermark the local state
-    /// cannot back.
+    /// A replica holding both siblings drains each through its barrier;
+    /// only gap-free drains at the barriers' own epochs claim the merged
+    /// base, anything else under-claims and lets catch-up fill the gaps.
+    /// A replica missing a sibling rebuilds table-driven from what it
+    /// holds.
     #[allow(clippy::too_many_arguments)]
     fn on_merge_msg(
         &mut self,
@@ -2111,7 +1976,6 @@ impl Node {
         from: NodeId,
         left: RangeId,
         right: RangeId,
-        merged: RangeId,
         epoch: spinnaker_common::Epoch,
         right_epoch: spinnaker_common::Epoch,
         barrier: Lsn,
@@ -2130,88 +1994,31 @@ impl Node {
             }
         }
         self.adopt_table_from_coord();
-        if !self.replicas.contains_key(&left) || !self.replicas.contains_key(&right) {
-            // Missing one side entirely: fall back to the conservative
-            // table-driven reconcile over whatever we do hold.
-            let gone: Vec<RangeId> = [left, right]
-                .into_iter()
-                .filter(|r| self.replicas.contains_key(r) && self.ring.def(*r).is_none())
-                .collect();
-            if !gone.is_empty() {
-                self.reconcile_gone_ranges(now, gone, out);
-            }
+        let gone: Vec<RangeId> = [left, right]
+            .into_iter()
+            .filter(|&r| {
+                self.replicas.contains_key(&r) && self.serve_status(r) == ServeStatus::Gone
+            })
+            .collect();
+        if gone.len() < 2 {
+            // Missing a sibling: rebuild from what we hold, table-driven.
+            // (Holding both while the table still lists them means the
+            // table was unreadable; the watch reconciles later.)
+            self.reconcile_gone(now, gone, out);
             return;
         }
-        let mut clean = true;
+        let mut parents = Vec::new();
         for (range, e, b) in [(left, epoch, barrier), (right, right_epoch, right_barrier)] {
             let mut rt = runtime!(self, now);
             let rep = self.replicas.get_mut(&range).expect("checked");
             let pre = matches!(rep.role, Role::Follower | Role::Leader) && rep.epoch == e;
-            let drained = rep.commit_through_barrier(&mut rt, b);
-            clean &= pre && drained;
+            let gap_free = rep.commit_through_barrier(&mut rt, b) && pre;
+            let rep = self.detach(range, out).expect("checked");
+            parents.push((rep, gap_free));
         }
-        let lrep = self.replicas.remove(&left).expect("checked");
-        let rrep = self.replicas.remove(&right).expect("checked");
-        let merged_epoch = epoch.max(right_epoch) + 1;
-        let base = Lsn::new(merged_epoch, barrier.seq().max(right_barrier.seq()));
-        let mut mstore = RangeStore::merge(
-            &lrep.store,
-            &rrep.store,
-            store_options(merged, &self.cfg, self.cache.as_ref()),
-        )
-        .expect("store merge");
-        let _ = mstore.flush();
-        let watermark = if clean {
-            let _ = self.wal.set_checkpoint(left, barrier);
-            let _ = self.wal.set_checkpoint(right, right_barrier);
-            let _ = self.wal.set_checkpoint(merged, base);
-            self.dissolved.push(Dissolved { range: left, at: now, gc_znodes: true });
-            self.dissolved.push(Dissolved { range: right, at: now, gc_znodes: true });
-            base
-        } else {
-            // Under-claim: migrate both streams' tails into the merged
-            // stream so acked records keep their durability and their
-            // election visibility; catch-up rebuilds the rest.
-            for (range, rep) in [(left, &lrep), (right, &rrep)] {
-                let w = rep.last_committed;
-                let tail = self
-                    .wal
-                    .read_range(range, w, self.wal.state(range).last_lsn)
-                    .unwrap_or_default();
-                let mut migrated = true;
-                for (lsn, op) in tail {
-                    if self.wal.append(&LogRecord::write(merged, lsn, op)).is_err() {
-                        migrated = false;
-                    }
-                }
-                if migrated {
-                    let _ = self.wal.set_checkpoint(range, w);
-                    self.dissolved.push(Dissolved { range, at: now, gc_znodes: true });
-                }
-            }
-            Lsn::ZERO
-        };
-        self.sync_wal();
-        let peers = {
-            let p: Vec<NodeId> =
-                self.ring.cohort(merged).into_iter().filter(|&n| n != self.id).collect();
-            if p.is_empty() {
-                lrep.peers.clone()
-            } else {
-                p
-            }
-        };
-        let mut mrep =
-            RangeReplica::new(merged, mstore, peers, (lrep.span.0.clone(), rrep.span.1.clone()));
-        mrep.epoch = if clean { merged_epoch } else { lrep.epoch.max(rrep.epoch) };
-        mrep.last_committed = watermark;
-        mrep.last_note = watermark;
-        self.attach_replica(mrep);
-        for (from, req) in lrep.blocked_writes.into_iter().chain(rrep.blocked_writes) {
-            let version = self.ring.version();
-            out.reply(from, ClientReply::err(req.req, ClientError::WrongRange { version }));
+        for range in self.rebuild(now, parents) {
+            self.join_cohort(now, range, out);
         }
-        self.join_cohort(now, merged, out);
     }
 
     // =================================================================
@@ -2359,36 +2166,25 @@ fn key_in_def(key: &Key, def: &RangeDef) -> bool {
         && def.end.as_ref().is_none_or(|e| key.as_bytes() < e.as_bytes())
 }
 
-/// Local-recovery path for a split child with no state of its own:
-/// rebuild it from the parent's surviving local store + log, returning
-/// the parent's committed watermark (the child's starting `f.cmt`).
-/// Returns `Ok(None)` when no parent state survives locally — the child
-/// then starts empty and relies on cohort catch-up.
-fn bootstrap_child_from_parent(
-    vfs: &SharedVfs,
+/// Local recovery of one replica (§6.1): re-apply its log records from
+/// the checkpoint through `f.cmt` idempotently. State past `f.cmt` stays
+/// ambiguous until catch-up.
+fn recover_replica(
     wal: &Wal,
-    cfg: &NodeConfig,
-    def: &RangeDef,
-    child: &mut RangeStore,
-) -> Result<Option<Lsn>> {
-    let parent = def.parent.expect("caller checked");
-    let pst = wal.state(parent);
-    let have_store = vfs.exists(&format!("store-r{}/MANIFEST", parent.0))?;
-    if !have_store && pst.last_lsn.is_zero() {
-        return Ok(None);
-    }
-    let mut pstore = RangeStore::open(vfs.clone(), store_options(parent, cfg, None))?;
-    wal.replay(parent, wal.checkpoint(parent), pst.last_committed, |lsn, op| {
-        pstore.apply(op, lsn);
+    range: RangeId,
+    store: RangeStore,
+    peers: Vec<NodeId>,
+    span: (Key, Option<Key>),
+) -> Result<RangeReplica> {
+    let st = wal.state(range);
+    let mut rep = RangeReplica::new(range, store, peers, span);
+    wal.replay(range, wal.checkpoint(range), st.last_committed, |lsn, op| {
+        rep.store.apply(op, lsn);
     })?;
-    for (key, row) in pstore.scan(&def.start, def.end.as_ref())? {
-        child.ingest_fragment(&key, &row);
-    }
-    // The parent's rows were pruned at its floor; the bootstrapped
-    // child must not serve snapshots below it.
-    child.set_gc_floor(pstore.gc_floor());
-    child.flush()?;
-    Ok(Some(pst.last_committed))
+    rep.last_committed = st.last_committed;
+    rep.last_note = st.last_committed;
+    rep.epoch = st.last_lsn.epoch();
+    Ok(rep)
 }
 
 /// Build a [`ClientRequest`] for a plain single-column put (helper for

@@ -1500,35 +1500,38 @@ impl RangeReplica {
         }
         self.serve_catchup(rt, follower, f_cmt, out);
         // Re-send in-flight proposals so the follower misses nothing.
-        // Batched groups are re-read per-LSN from the log, so re-sends
-        // are always singleton proposes regardless of how the writes
-        // originally travelled.
-        let epoch = self.epoch;
-        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
         let closed_ts = self.advertised_closed_ts(rt);
-        let pending: Vec<(Lsn, WriteOp)> = self
-            .cq
-            .pending_lsns()
-            .into_iter()
-            .filter_map(|lsn| {
-                rt.wal
-                    .read_range(self.range, Lsn::from_u64(lsn.as_u64() - 1), lsn)
-                    .ok()
-                    .and_then(|v| v.into_iter().next())
-            })
-            .collect();
-        for (lsn, op) in pending {
-            out.send(
-                follower,
-                PeerMsg::Propose {
-                    range: self.range,
-                    epoch,
-                    lsn,
-                    ops: vec![op],
-                    committed,
-                    closed_ts,
-                },
-            );
+        self.repropose_pending(rt, &[follower], closed_ts, out);
+    }
+
+    /// Re-propose every write still pending in the commit queue to `to`:
+    /// one singleton `Propose` per LSN, re-read from the log, so re-sends
+    /// never depend on how the writes originally travelled (batched
+    /// groups go out one write at a time).
+    fn repropose_pending(&self, rt: &Runtime<'_>, to: &[NodeId], closed_ts: u64, out: &mut Outbox) {
+        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
+        for lsn in self.cq.pending_lsns() {
+            let Some((lsn, op)) = rt
+                .wal
+                .read_range(self.range, Lsn::from_u64(lsn.as_u64() - 1), lsn)
+                .ok()
+                .and_then(|v| v.into_iter().next())
+            else {
+                continue;
+            };
+            for &peer in to {
+                out.send(
+                    peer,
+                    PeerMsg::Propose {
+                        range: self.range,
+                        epoch: self.epoch,
+                        lsn,
+                        ops: vec![op.clone()],
+                        committed,
+                        closed_ts,
+                    },
+                );
+            }
         }
     }
 
@@ -1554,33 +1557,7 @@ impl RangeReplica {
             }
         }
         // Nudge in-flight re-proposals whose Propose or Ack went missing.
-        let committed = if rt.cfg.piggyback_commits { self.last_committed } else { Lsn::ZERO };
-        let pending: Vec<(Lsn, WriteOp)> = self
-            .cq
-            .pending_lsns()
-            .into_iter()
-            .filter_map(|lsn| {
-                rt.wal
-                    .read_range(self.range, Lsn::from_u64(lsn.as_u64() - 1), lsn)
-                    .ok()
-                    .and_then(|v| v.into_iter().next())
-            })
-            .collect();
-        for (lsn, op) in pending {
-            for peer in self.peers.clone() {
-                out.send(
-                    peer,
-                    PeerMsg::Propose {
-                        range: self.range,
-                        epoch,
-                        lsn,
-                        ops: vec![op.clone()],
-                        committed,
-                        closed_ts: 0,
-                    },
-                );
-            }
-        }
+        self.repropose_pending(rt, &self.peers, 0, out);
         self.maybe_finish_takeover(rt, out)
     }
 
@@ -1647,7 +1624,7 @@ impl RangeReplica {
         // confirm? Anything else in (f.cmt, up_to] was discarded by a
         // previous leader change and must never replay: logical
         // truncation.
-        let own: Vec<Lsn> = rt
+        let own: BTreeSet<Lsn> = rt
             .wal
             .read_range(self.range, f_cmt, st.last_lsn)
             .map(|v| v.into_iter().map(|(l, _)| l).collect())

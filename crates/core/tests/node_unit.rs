@@ -451,3 +451,83 @@ fn timeline_reads_served_by_followers_strong_reads_rejected() {
     );
     assert!(matches!(replies(&out).as_slice(), [ClientReply::Row { .. }]));
 }
+
+/// A follower acks parent writes past its committed LSN, is down across
+/// a split of that range, and restarts under the new table. The children
+/// must still carry the acked writes in their log streams: `n.lst` is
+/// what a child election compares, so a child stream that dropped them
+/// could elect a leader missing committed writes.
+#[test]
+fn acked_parent_tail_survives_a_split_slept_through() {
+    let fx = Fixture::new();
+    let boot = |ring: &Ring, vfs: MemVfs| {
+        let session = fx.coord.borrow_mut().create_session(u64::MAX / 2, 0);
+        let cc = CoordClient::new(fx.coord.clone(), session, fx.bus.clone());
+        Node::new(1, ring.clone(), NodeConfig::default(), Arc::new(vfs), cc).unwrap()
+    };
+    let vfs = MemVfs::new();
+    let mut follower = boot(&fx.ring, vfs.clone());
+    let _ = feed(&mut follower, NodeInput::Start);
+    let range = RangeId(0);
+    let _ = feed(
+        &mut follower,
+        NodeInput::Peer { from: 0, msg: PeerMsg::LeaderHello { range, epoch: 1, leader: 0 } },
+    );
+    let _ = feed(
+        &mut follower,
+        NodeInput::Peer {
+            from: 0,
+            msg: PeerMsg::CatchupRecords {
+                range,
+                epoch: 1,
+                records: vec![],
+                fragments: vec![],
+                up_to: Lsn::ZERO,
+            },
+        },
+    );
+    assert_eq!(follower.role(range), Role::Follower);
+
+    // (1,1) commits; (1,2) lands left of the split key and (1,3) right
+    // of it, both acked (forced) but never committed here. Each force
+    // also makes the commit note before it durable.
+    let split_at = u64_to_key(1000);
+    let writes = [(1, u64_to_key(1)), (2, u64_to_key(2)), (3, u64_to_key(5000))];
+    for (seq, key) in writes {
+        let lsn = Lsn::new(1, seq);
+        let op = spinnaker_common::WriteOp::put(
+            key,
+            bytes::Bytes::from_static(b"c"),
+            bytes::Bytes::from_static(b"v"),
+            0,
+        );
+        let propose = PeerMsg::Propose {
+            range,
+            epoch: 1,
+            lsn,
+            ops: vec![op],
+            committed: Lsn::ZERO,
+            closed_ts: 0,
+        };
+        let out = feed(&mut follower, NodeInput::Peer { from: 0, msg: propose });
+        let out = feed(&mut follower, NodeInput::LogForced { tokens: force_tokens(&out) });
+        assert!(sends(&out).iter().any(|(_, m)| matches!(m, PeerMsg::Ack { .. })), "acked");
+        if seq == 1 {
+            let commit = PeerMsg::Commit { range, epoch: 1, lsn, closed_ts: 0 };
+            let _ = feed(&mut follower, NodeInput::Peer { from: 0, msg: commit });
+        }
+    }
+    assert_eq!(follower.last_committed(range), Lsn::new(1, 1));
+    assert_eq!(follower.last_lsn(range), Lsn::new(1, 3));
+
+    // Crash, split the range while the node is down, restart.
+    let image = vfs.crash_clone();
+    drop(follower);
+    let mut ring = fx.ring.clone();
+    let (left, right) = ring.split(range, &split_at).unwrap();
+    let mut node = boot(&ring, image);
+    let _ = feed(&mut node, NodeInput::Start);
+    assert_eq!(node.last_committed(left), Lsn::new(1, 1), "the parent's watermark vouches");
+    assert!(node.last_lsn(left) >= Lsn::new(1, 2), "left child lost an acked write");
+    assert!(node.last_lsn(right) >= Lsn::new(1, 3), "right child lost an acked write");
+}

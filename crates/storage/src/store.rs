@@ -39,9 +39,8 @@ use crate::memtable::Memtable;
 use crate::merge::{vec_stream, MergeIter, RowStream};
 use crate::sstable::{Table, TableBuilder, TableCtx, TableOptions};
 
-/// `"SPINMF02"` little-endian: the v2 (leveled) manifest magic. A v1
-/// manifest starts with its `next_id` field instead, which can never
-/// collide with this value in practice.
+/// `"SPINMF02"` little-endian: the leveled manifest magic. A manifest
+/// that does not start with it is rejected as corrupt.
 const MANIFEST_MAGIC: u64 = 0x3230_464d_4e49_5053;
 
 /// Deepest level a manifest may assign (a sanity bound on decode).
@@ -204,19 +203,9 @@ impl Encode for Manifest {
 
 impl Decode for Manifest {
     fn decode(buf: &mut &[u8]) -> Result<Manifest> {
-        let first = codec::get_u64(buf)?;
-        if first != MANIFEST_MAGIC {
-            // v1 (pre-leveling) manifest: `first` is its `next_id`, the
-            // table list is bare ids, newest first. Assigning them all to
-            // L0 reproduces the flat set's semantics exactly; the next
-            // compactions migrate them down the ladder.
-            let gc_floor = codec::get_u64(buf)?;
-            let n = codec::get_varint_len(buf, "manifest tables", 8)?;
-            let mut tables = Vec::with_capacity(n);
-            for _ in 0..n {
-                tables.push((codec::get_u64(buf)?, 0));
-            }
-            return Ok(Manifest { tables, next_id: first, gc_floor });
+        let magic = codec::get_u64(buf)?;
+        if magic != MANIFEST_MAGIC {
+            return Err(Error::Corruption(format!("bad manifest magic {magic:#018x}")));
         }
         let next_id = codec::get_u64(buf)?;
         let gc_floor = codec::get_u64(buf)?;
@@ -296,9 +285,8 @@ impl RangeStore {
         format!("{dir}/sst-{id:010}")
     }
 
-    /// Open the store, loading tables listed in the manifest. Level
-    /// assignments are restored from a v2 manifest; a v1 manifest (the
-    /// pre-leveling flat set) upgrades compatibly with every table in L0.
+    /// Open the store, loading tables listed in the manifest at their
+    /// recorded levels.
     pub fn open(vfs: SharedVfs, opts: StoreOptions) -> Result<RangeStore> {
         let mpath = Self::manifest_path(&opts.dir);
         let manifest = if vfs.exists(&mpath)? {
@@ -825,116 +813,93 @@ impl RangeStore {
         Ok(out)
     }
 
-    /// Fork the store at `at` into two children (dynamic range splitting):
-    /// the memtable is cloned in halves, and every SSTable is assigned
-    /// wholly to one side **at its own level** when its key bounds allow —
-    /// a cheap file copy — or re-partitioned into per-side tables (still
-    /// at its level) when it straddles the split key. Clipping preserves
-    /// each level's non-overlap, since each side receives a disjoint
-    /// sub-run. `self` is left untouched; the caller dissolves the parent
-    /// once both children are durable.
+    /// Assemble a fresh store from key slices of existing stores: each
+    /// `(source, start, end)` contributes the source's rows in
+    /// `[start, end)`. This is the one primitive behind range splits,
+    /// merges and table-driven rebuilds. A source table lying wholly
+    /// inside its slice is adopted **at its own level** as a cheap file
+    /// copy; one straddling a slice bound is re-partitioned into tables
+    /// holding only the slice, still at its level (a table that would
+    /// overlap its level peers, which only overlapping slices produce,
+    /// lands in L0). The slices' memtable rows are copied, and the
+    /// strictest source GC floor is kept: the adopted rows were pruned
+    /// at it. The sources are left untouched; the caller dissolves them
+    /// once the new store is durable.
+    pub fn assemble(
+        vfs: SharedVfs,
+        opts: StoreOptions,
+        slices: &[(&RangeStore, Key, Option<Key>)],
+    ) -> Result<RangeStore> {
+        let mut store = RangeStore::create(vfs, opts)?;
+        for (src, start, end) in slices {
+            let end = end.as_ref();
+            store.set_gc_floor(src.gc_floor);
+            // L0 oldest first, inserting at the front, so the new L0 ends
+            // newest-first like the source's (merges are version-driven,
+            // but the invariant keeps compaction heuristics honest).
+            for slot in src.l0.iter().rev() {
+                store.adopt_slice(slot, 0, start, end)?;
+            }
+            for (k, level) in src.deeper.iter().enumerate() {
+                for slot in level {
+                    store.adopt_slice(slot, k as u32 + 1, start, end)?;
+                }
+            }
+            for (key, row) in src.memtable.iter() {
+                if key >= start && end.is_none_or(|e| key < e) {
+                    store.memtable.merge_row(key, row);
+                }
+            }
+        }
+        store.save_manifest()?;
+        Ok(store)
+    }
+
+    /// Adopt the part of `slot` inside `[start, end)` at `level`.
+    fn adopt_slice(
+        &mut self,
+        slot: &Slot,
+        level: u32,
+        start: &Key,
+        end: Option<&Key>,
+    ) -> Result<()> {
+        let meta = slot.table.meta();
+        if &meta.max_key < start || end.is_some_and(|e| &meta.min_key >= e) {
+            Ok(())
+        } else if &meta.min_key >= start && end.is_none_or(|e| &meta.max_key < e) {
+            self.adopt_table_file(slot.table.path(), level)
+        } else {
+            self.adopt_rows(slot.table.scan(start, end)?, level)
+        }
+    }
+
+    /// Fork the store at `at` into two children: [`RangeStore::assemble`]
+    /// of the slices below and from `at`.
     pub fn split(
         &self,
         at: &Key,
         left_opts: StoreOptions,
         right_opts: StoreOptions,
     ) -> Result<(RangeStore, RangeStore)> {
-        let mut left = RangeStore::create(self.vfs.clone(), left_opts)?;
-        let mut right = RangeStore::create(self.vfs.clone(), right_opts)?;
-        // The children adopt tables pruned at the parent's floor; they
-        // must not claim they can serve below it.
-        left.gc_floor = self.gc_floor;
-        right.gc_floor = self.gc_floor;
-        for (key, row) in self.memtable.iter() {
-            let side = if key < at { &mut left } else { &mut right };
-            side.memtable.merge_row(key, row);
-        }
-        // L0 oldest first, inserting at the front, so each child's L0
-        // ends newest-first like its parent (merges are version-driven,
-        // but the invariant keeps compaction heuristics honest).
-        for slot in self.l0.iter().rev() {
-            Self::split_one(slot, at, 0, &mut left, &mut right)?;
-        }
-        for (k, level) in self.deeper.iter().enumerate() {
-            for slot in level {
-                Self::split_one(slot, at, k as u32 + 1, &mut left, &mut right)?;
-            }
-        }
-        left.save_manifest()?;
-        right.save_manifest()?;
+        let left = RangeStore::assemble(
+            self.vfs.clone(),
+            left_opts,
+            &[(self, Key::default(), Some(at.clone()))],
+        )?;
+        let right =
+            RangeStore::assemble(self.vfs.clone(), right_opts, &[(self, at.clone(), None)])?;
         Ok((left, right))
     }
 
-    fn split_one(
-        slot: &Slot,
-        at: &Key,
-        level: u32,
-        left: &mut RangeStore,
-        right: &mut RangeStore,
-    ) -> Result<()> {
-        let meta = slot.table.meta();
-        if &meta.max_key < at {
-            left.adopt_table_file(slot.table.path(), level)
-        } else if &meta.min_key >= at {
-            right.adopt_table_file(slot.table.path(), level)
-        } else {
-            left.adopt_rows(slot.table.scan(&Key::default(), Some(at))?, level)?;
-            right.adopt_rows(slot.table.scan(at, None)?, level)
-        }
-    }
-
-    /// Extract the slice `[start, end)` into a fresh child store (the
-    /// generic, bounds-driven fork used by table-only split recovery,
-    /// where the exact split lineage may span several chained splits).
-    /// Unlike [`RangeStore::split`] this always re-partitions rows; it is
-    /// the rare-path variant, so simplicity wins over file reuse. The
-    /// merged scan yields one sorted, duplicate-free run, which lands as
-    /// non-overlapping L1 tables.
-    pub fn extract(
-        &self,
-        start: &Key,
-        end: Option<&Key>,
-        opts: StoreOptions,
-    ) -> Result<RangeStore> {
-        let mut child = RangeStore::create(self.vfs.clone(), opts)?;
-        child.gc_floor = self.gc_floor;
-        child.adopt_rows(self.scan(start, end)?, 1)?;
-        child.save_manifest()?;
-        Ok(child)
-    }
-
-    /// Merge two sibling stores with *disjoint* key spans into one child
-    /// (dynamic range merging — the inverse of [`RangeStore::split`]).
-    /// Because no key can live on both sides, every SSTable is adopted
-    /// wholesale as a cheap file copy **at its own level** (disjoint
-    /// parents keep every level non-overlapping) and the memtables are
-    /// unioned; no row-level merge is ever needed. The parents are left
-    /// untouched; the caller dissolves them once the merged child is
-    /// durable.
+    /// Merge two sibling stores with *disjoint* key spans into one:
+    /// [`RangeStore::assemble`] of both whole stores, so every table is
+    /// adopted as a file copy and no row-level merge is ever needed.
     pub fn merge(left: &RangeStore, right: &RangeStore, opts: StoreOptions) -> Result<RangeStore> {
-        let mut merged = RangeStore::create(left.vfs.clone(), opts)?;
-        // Adopt the stricter of the parents' floors (MAX inputs are
-        // no-ops, so an armed floor always wins over an unarmed one).
-        merged.set_gc_floor(left.gc_floor());
-        merged.set_gc_floor(right.gc_floor());
-        for parent in [left, right] {
-            // L0 oldest first, inserting at the front, preserving each
-            // side's newest-first order (the sides are disjoint, so their
-            // relative interleaving carries no version semantics).
-            for slot in parent.l0.iter().rev() {
-                merged.adopt_table_file(slot.table.path(), 0)?;
-            }
-            for (k, level) in parent.deeper.iter().enumerate() {
-                for slot in level {
-                    merged.adopt_table_file(slot.table.path(), k as u32 + 1)?;
-                }
-            }
-            for (key, row) in parent.memtable.iter() {
-                merged.memtable.merge_row(key, row);
-            }
-        }
-        merged.save_manifest()?;
-        Ok(merged)
+        RangeStore::assemble(
+            left.vfs.clone(),
+            opts,
+            &[(left, Key::default(), None), (right, Key::default(), None)],
+        )
     }
 
     /// Export a consistent snapshot of the whole store: raw SSTable file
@@ -1026,19 +991,21 @@ impl RangeStore {
 
     /// Place an adopted slot at `level` (flat mode collapses everything
     /// into the one overlapping tier). L0 inserts at the front; deeper
-    /// levels re-sort by min key.
+    /// levels re-sort by min key. A slot overlapping its level peers
+    /// (overlapping slices of an assembly) goes to L0 instead, where
+    /// overlap is legal: a point read probes one table per deeper level.
     fn place(&mut self, slot: Slot, level: u32) {
-        let level = if self.opts.leveled { level } else { 0 };
-        if level == 0 {
+        let k = if self.opts.leveled { level as usize } else { 0 };
+        let overlaps = |s: &Slot| min_key(s) <= max_key(&slot) && min_key(&slot) <= max_key(s);
+        if k == 0 || self.deeper.get(k - 1).is_some_and(|l| l.iter().any(overlaps)) {
             self.l0.insert(0, slot);
             return;
         }
-        let k = level as usize - 1;
-        while self.deeper.len() <= k {
+        while self.deeper.len() < k {
             self.deeper.push(Vec::new());
         }
-        self.deeper[k].push(slot);
-        sort_level(&mut self.deeper[k]);
+        self.deeper[k - 1].push(slot);
+        sort_level(&mut self.deeper[k - 1]);
     }
 
     /// Adopt a whole SSTable from another store by copying its file,
@@ -1494,7 +1461,7 @@ mod tests {
         let reopened = store_on(&vfs.crash_clone());
         assert_eq!(reopened.gc_floor(), 25, "floor persisted with the manifest");
 
-        // Split children, an extracted child, a merged store, and a
+        // Split children, an assembled slice, a merged store, and a
         // snapshot importer all inherit it.
         let (left, right) = s
             .split(
@@ -1511,14 +1478,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(merged.gc_floor(), 25);
-        let extracted = s
-            .extract(
-                &Key::default(),
-                None,
-                StoreOptions { dir: "extracted".into(), ..Default::default() },
-            )
-            .unwrap();
-        assert_eq!(extracted.gc_floor(), 25);
+        let sliced = RangeStore::assemble(
+            Arc::new(vfs.clone()),
+            StoreOptions { dir: "sliced".into(), ..Default::default() },
+            &[(&s, Key::from("a"), Some(Key::from("z")))],
+        )
+        .unwrap();
+        assert_eq!(sliced.gc_floor(), 25);
         let snap = s.export_snapshot().unwrap();
         assert_eq!(snap.gc_floor, 25);
         let mut joiner = RangeStore::recreate(
@@ -1697,45 +1663,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s2.tables_per_level(), per_level, "levels survive restart");
-    }
-
-    #[test]
-    fn v1_manifest_upgrades_to_l0() {
-        // Hand-encode a v1 (pre-leveling) manifest over real table files
-        // and verify the store opens with every table in L0, reads
-        // intact, and the next save rewrites it as v2.
-        let vfs = MemVfs::new();
-        let mut s = store_on(&vfs);
-        s.apply(&op::put("a", "c", "old"), Lsn::new(1, 1));
-        s.flush().unwrap();
-        s.apply(&op::put("a", "c", "new"), Lsn::new(1, 2));
-        s.apply(&op::put("b", "c", "x"), Lsn::new(1, 3));
-        s.flush().unwrap();
-        s.set_gc_floor(7);
-        s.compact_all().unwrap(); // persists the floor
-                                  // Rewrite the manifest in v1 format: next_id, gc_floor, ids.
-        let m = s.manifest();
-        let mut v1 = Vec::new();
-        codec::put_u64(&mut v1, m.next_id);
-        codec::put_u64(&mut v1, m.gc_floor);
-        codec::put_varint(&mut v1, m.tables.len() as u64);
-        for (id, _) in &m.tables {
-            codec::put_u64(&mut v1, *id);
-        }
-        use spinnaker_common::vfs::Vfs;
-        vfs.write_atomic("store/MANIFEST", &v1).unwrap();
-
-        let image = vfs.crash_clone();
-        let mut reopened = store_on(&image);
-        assert_eq!(reopened.tables_per_level(), vec![m.tables.len()], "v1 tables all land in L0");
-        assert_eq!(reopened.gc_floor(), 7, "floor survives the upgrade");
-        let row = reopened.get(&Key::from("a")).unwrap().unwrap();
-        assert_eq!(row.get_live(b"c").unwrap().value.as_ref(), b"new");
-        // The next manifest write is v2 and round-trips levels.
-        reopened.apply(&op::put("z", "c", "1"), Lsn::new(1, 9));
-        reopened.flush().unwrap();
-        let reread = store_on(&image.crash_clone());
-        assert_eq!(reread.table_count(), reopened.table_count());
     }
 
     #[test]
@@ -1982,6 +1909,41 @@ mod tests {
             let k = Key::from(format!("k{i:02}").as_str());
             assert_eq!(merged2.get(&k).unwrap(), s.get(&k).unwrap());
         }
+    }
+
+    #[test]
+    fn assemble_keeps_overlapping_slices_readable() {
+        // Two stores holding versions of the same key, each compacted
+        // down to L1: assembled together, their L1 tables would overlap,
+        // and a point read probes only one table per deeper level.
+        let vfs = MemVfs::new();
+        let mut sources = Vec::new();
+        for (dir, val, ts, filler) in [("old", "v1", 10, "a"), ("new", "v2", 20, "z")] {
+            let mut s = RangeStore::open(
+                Arc::new(vfs.clone()),
+                StoreOptions { dir: dir.into(), ..Default::default() },
+            )
+            .unwrap();
+            for (i, (key, val)) in [("k", val), (filler, "f")].into_iter().enumerate() {
+                s.apply(&put_at(key, val, ts + i as u64), Lsn::new(1, ts + i as u64));
+                s.flush().unwrap();
+            }
+            s.compact_all().unwrap();
+            assert_eq!(s.tables_per_level(), vec![0, 1]);
+            sources.push(s);
+        }
+        let all = (Key::default(), None);
+        let both = RangeStore::assemble(
+            Arc::new(vfs.clone()),
+            StoreOptions { dir: "both".into(), ..Default::default() },
+            &[(&sources[0], all.0.clone(), all.1.clone()), (&sources[1], all.0, all.1)],
+        )
+        .unwrap();
+        assert_eq!(both.tables_per_level(), vec![1, 1], "the overlapping table went to L0");
+        let key = Key::from("k");
+        let read = |row: Option<Row>| row.unwrap().get_live(b"c").unwrap().value.clone();
+        assert_eq!(read(both.get(&key).unwrap()).as_ref(), b"v2");
+        assert_eq!(read(both.get_at(&key, 15).unwrap()).as_ref(), b"v1");
     }
 
     #[test]

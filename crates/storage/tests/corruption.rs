@@ -8,9 +8,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use spinnaker_common::codec::Encode;
+use spinnaker_common::codec::{self, Encode};
 use spinnaker_common::vfs::{MemVfs, Vfs};
-use spinnaker_common::{crc32c, op, Key, Lsn, Row};
+use spinnaker_common::{crc32c, op, Error, Key, Lsn, Row};
 use spinnaker_storage::{
     BlockCache, RangeStore, StoreOptions, Table, TableBuilder, TableCtx, TableOptions,
 };
@@ -144,6 +144,24 @@ fn absurd_manifest_table_count_is_a_typed_error_not_an_allocation() {
     vfs.write_atomic("store/MANIFEST", &[0xff; 32]).unwrap();
     let res = RangeStore::open(Arc::new(vfs.clone()), store_opts());
     assert!(res.is_err(), "32 bytes of 0xff accepted as a manifest");
+}
+
+#[test]
+fn manifest_without_the_magic_is_corruption() {
+    let vfs = seeded_store_vfs();
+    // The pre-leveling layout (next_id, gc_floor, bare table ids) naming
+    // the real table: it no longer decodes, whatever it lists.
+    let mut bytes = Vec::new();
+    codec::put_u64(&mut bytes, 2);
+    codec::put_u64(&mut bytes, u64::MAX);
+    codec::put_varint(&mut bytes, 1);
+    codec::put_u64(&mut bytes, 1);
+    vfs.write_atomic("store/MANIFEST", &bytes).unwrap();
+    match RangeStore::open(Arc::new(vfs.clone()), store_opts()) {
+        Err(Error::Corruption(_)) => {}
+        Err(e) => panic!("manifest without the magic failed as {e:?}, not corruption"),
+        Ok(_) => panic!("manifest without the magic accepted"),
+    }
 }
 
 #[test]
